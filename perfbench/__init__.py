@@ -1,0 +1,1 @@
+"""sercap benchmark: workloads, checks and tracing; see README.md."""
