@@ -509,3 +509,55 @@ def grad_check(f, inputs, eps: float = 1e-5, rtol: float = 1e-4) -> GradCheckRep
 
     max_err = max(per_input) if per_input else 0.0
     return GradCheckReport(max_rel_error=max_err, rtol=rtol, per_input=per_input)
+
+
+def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
+    """The op table the gradient checks run: name -> (scalar function, inputs).
+
+    Inputs are drawn from ``rng``; several ops appear in two shapes or
+    formulations.
+    """
+
+    def t(shape, scale=1.0):
+        return Tensor(rng.normal(0, scale, shape), requires_grad=True)
+
+    def positive(shape):
+        return Tensor(rng.uniform(0.5, 2, shape), requires_grad=True)
+
+    def twice_looked_up(ids):
+        return lambda tab: (embedding_lookup(tab, ids) * embedding_lookup(tab, ids)).sum()
+
+    return {
+        "matmul": (lambda a, b: matmul(a, b).sum(), [t((3, 4)), t((4, 2))]),
+        "matmul_batched": (lambda a, b: matmul(a, b).mean(), [t((2, 3, 4)), t((4, 2))]),
+        "arith": (lambda a, b: (a * b + a - b).sum(), [t((3, 2)), t((3, 2))]),
+        "div": (lambda a, b: (a / b).sum(), [t((2, 2)), positive((2, 2))]),
+        "softmax": (lambda a: (softmax(a) * a).sum(), [t((3, 5))]),
+        "log_softmax": (lambda a: (log_softmax(a) * a).sum(), [t((3, 5))]),
+        "layer_norm": (
+            lambda a, g, b: (layer_norm(a, g, b, 1e-5) * layer_norm(a, g, b, 1e-5)).sum(),
+            [t((3, 4)), t((4,)), t((4,))],
+        ),
+        "gelu": (lambda a: gelu(a).sum(), [t((6,))]),
+        "embedding": (twice_looked_up(np.array([0, 2, 2])), [t((4, 3))]),
+        "dropout": (lambda a: dropout(a, 0.4, True, np.random.default_rng(7)).sum(), [t((5, 5))]),
+        "gather": (lambda a: gather_last(a, np.array([1, 0, 2])).sum(), [t((3, 4))]),
+        "abs": (lambda a: absolute(a).sum(), [Tensor(rng.normal(0, 1, (5,)) + 0.3, requires_grad=True)]),
+        "sqrt": (lambda a: sqrt(a).sum(), [positive((4,))]),
+        "exp_log": (lambda a: (exp(a) * log(exp(a))).sum(), [t((3,))]),
+        "concat": (lambda a: concat([a, a * 2.0], axis=0).sum(), [t((2, 2))]),
+        "reshape_permute": (lambda a: a.transpose((1, 0)).reshape(6).mean(), [t((2, 3))]),
+        "matmul_square": (lambda a, b: matmul(a, b).sum(), [t((2, 3)), t((3, 2))]),
+        "matmul_batched_square": (lambda a, b: matmul(a, b).mean(), [t((2, 2, 3)), t((3, 2))]),
+        "softmax_mean": (lambda a: softmax(a, axis=-1).mean(), [t((2, 5))]),
+        "log_softmax_2x5": (lambda a: (log_softmax(a) * a).sum(), [t((2, 5))]),
+        "layer_norm_mean": (
+            lambda a, g, b: (layer_norm(a, g, b, 1e-5) * layer_norm(a, g, b, 1e-5)).mean(),
+            [t((2, 4)), t((4,)), t((4,))],
+        ),
+        "embedding_4ids": (twice_looked_up(np.array([0, 2, 2, 1])), [t((4, 3))]),
+        "dropout_p03": (lambda a: dropout(a, 0.3, True, np.random.default_rng(9)).sum(), [t((4, 4))]),
+        "gather_2x3": (lambda a: gather_last(a, np.array([1, 0])).sum(), [t((2, 3))]),
+        "concat_axis1": (lambda a: concat([a, a * 2.0], axis=1).sum(axis=0).mean(), [t((2, 3))]),
+        "reshape_permute_sum": (lambda a: a.transpose((1, 0)).reshape(6).sum(), [t((2, 3))]),
+    }

@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .config import ExperimentConfig, parse_config
 from .data import EventGrammar, dataset_stats, generate_split, load_features, save_captions, save_features
-from .decoding import DecodeConfig, beam_search
-from .harness import NanLossError, plot_curves, restore_model, run_ablation, train
+from .decoding import DecodeConfig
+from .harness import NanLossError, decode_split, plot_curves, restore_model, run_ablation, sentence_embedder, train
 from .metrics import EvalItem, FluencyLexicons, evaluate_corpus
 from .model import SentenceEncoder
 from .text import build_vocab, detokenize, load_stopwords
@@ -61,7 +60,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    model, encoder, vocab, sent_vocab, config = restore_model(args.checkpoint)
+    model, _, vocab, _, config = restore_model(args.checkpoint)
     features = load_features(args.features)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else load_stopwords(
         config.decode.stopwords_file or None
@@ -72,14 +71,10 @@ def _cmd_decode(args) -> int:
         max_len=args.max_len if args.max_len is not None else config.decode.max_len,
         stopwords=stopwords,
     )
-    lines, sidecar = [], []
-    for i in range(features.shape[0]):
-        memory = model.encode_project(features[i]).data
-        hyp = beam_search(memory, model, cfg, vocab)
-        caption = detokenize(hyp.tokens, vocab)
-        lines.append(caption)
-        sidecar.append({"index": i, "caption": caption, "log_prob": hyp.log_prob,
-                        "tokens": hyp.tokens})
+    hyps = decode_split(model, features, cfg, vocab)
+    lines = [detokenize(h.tokens, vocab) for h in hyps]
+    sidecar = [{"index": i, "caption": caption, "log_prob": h.log_prob, "tokens": h.tokens}
+               for i, (caption, h) in enumerate(zip(lines, hyps))]
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n")
     out.with_suffix(out.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -112,8 +107,6 @@ def _cmd_evaluate(args) -> int:
     all_caps = candidates + [r for refs in references for r in refs]
     vocab = build_vocab(all_caps, kind="subword", target_size=args.vocab_size)
     encoder = SentenceEncoder(vocab.size, d_sent=args.d_sent, seed=args.encoder_seed)
-    from .harness import sentence_embedder
-
     embed = sentence_embedder(encoder, vocab)
     report = evaluate_corpus(items, embedder=embed, lexicons=FluencyLexicons.default(),
                              spice_per_item=spice)
@@ -137,45 +130,7 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     failures = []
     for seed in range(args.seeds):
-        rng = np.random.default_rng(seed)
-
-        def t(shape, scale=1.0):
-            return Tensor(rng.normal(0, scale, shape), requires_grad=True)
-
-        checks = {
-            "matmul": (lambda a, b: ad.matmul(a, b).sum(), [t((3, 4)), t((4, 2))]),
-            "matmul_batched": (lambda a, b: ad.matmul(a, b).mean(), [t((2, 3, 4)), t((4, 2))]),
-            "arith": (lambda a, b: (a * b + a - b).sum(), [t((3, 2)), t((3, 2))]),
-            "div": (
-                lambda a, b: (a / b).sum(),
-                [t((2, 2)), Tensor(rng.uniform(0.5, 2, (2, 2)), requires_grad=True)],
-            ),
-            "softmax": (lambda a: (ad.softmax(a) * a).sum(), [t((3, 5))]),
-            "log_softmax": (lambda a: (ad.log_softmax(a) * a).sum(), [t((3, 5))]),
-            "layer_norm": (
-                lambda a, g, b: (ad.layer_norm(a, g, b, 1e-5) * ad.layer_norm(a, g, b, 1e-5)).sum(),
-                [t((3, 4)), t((4,)), t((4,))],
-            ),
-            "gelu": (lambda a: ad.gelu(a).sum(), [t((6,))]),
-            "embedding": (
-                lambda tab: (
-                    ad.embedding_lookup(tab, np.array([0, 2, 2]))
-                    * ad.embedding_lookup(tab, np.array([0, 2, 2]))
-                ).sum(),
-                [t((4, 3))],
-            ),
-            "dropout": (
-                lambda a: ad.dropout(a, 0.4, True, np.random.default_rng(7)).sum(),
-                [t((5, 5))],
-            ),
-            "gather": (lambda a: ad.gather_last(a, np.array([1, 0, 2])).sum(), [t((3, 4))]),
-            "abs": (lambda a: ad.absolute(a).sum(), [Tensor(rng.normal(0, 1, (5,)) + 0.3, requires_grad=True)]),
-            "sqrt": (lambda a: ad.sqrt(a).sum(), [Tensor(rng.uniform(0.5, 2, (4,)), requires_grad=True)]),
-            "exp_log": (lambda a: (ad.exp(a) * ad.log(ad.exp(a))).sum(), [t((3,))]),
-            "concat": (lambda a: ad.concat([a, a * 2.0], axis=0).sum(), [t((2, 2))]),
-            "reshape_permute": (lambda a: a.transpose((1, 0)).reshape(6).mean(), [t((2, 3))]),
-        }
-        for name, (f, inputs) in checks.items():
+        for name, (f, inputs) in ad.gradcheck_cases(np.random.default_rng(seed)).items():
             report = ad.grad_check(f, inputs, eps=args.eps, rtol=args.rtol)
             worst = max(worst, report.max_rel_error)
             if not report.passed:
@@ -189,7 +144,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    plot_curves(args.curves, args.out_csv, args.out_png)
+    try:
+        plot_curves(args.curves, args.out_csv, args.out_png)
+    except ImportError as err:
+        print(err, file=sys.stderr)
+        return 1
     print(f"wrote {args.out_csv}" + (f" and {args.out_png}" if args.out_png else ""))
     return 0
 

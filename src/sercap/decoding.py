@@ -9,7 +9,7 @@ mask-legal sequence and serves as the test oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,15 +22,12 @@ class DecodeConfig:
     min_len: int = 3
     max_len: int = 30
     stopwords: frozenset[str] = field(default_factory=load_stopwords)
-    length_norm: str = "none"
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError("need 1 <= min_len <= max_len")
-        if self.length_norm != "none":
-            raise ValueError("only length_norm='none' is implemented")
         if not self.stopwords:
             raise ValueError("stopword set must be nonempty")
 
@@ -104,6 +101,8 @@ def _advance(live, logprobs, cfg, vocab, finished):
 
 
 def _best(finished) -> BeamHypothesis:
+    if not finished:
+        raise RuntimeError("beam search ended with no finished hypothesis")
     return min(finished, key=lambda h: (-h.log_prob, h.tokens))
 
 
@@ -118,22 +117,13 @@ def _should_stop(live, finished) -> bool:
 
 
 def beam_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary) -> BeamHypothesis:
-    """Highest log-prob finished hypothesis under the constraint masks."""
-    live = [BeamHypothesis([BOS_ID], 0.0, False)]
-    finished: list[BeamHypothesis] = []
-    while live and not _should_stop(live, finished):
-        prefixes = np.array([h.tokens for h in live], dtype=np.int64)
-        logits = model.step_logits_batch(memory, prefixes)
-        live = _advance(live, _log_probs(logits), cfg, vocab, finished)
-    if not finished:
-        raise RuntimeError("beam search ended with no finished hypothesis")
-    return _best(finished)
+    """Highest log-prob finished hypothesis under the constraint masks:
+    the one-clip case of ``decode_corpus``."""
+    return decode_corpus([memory], model, cfg, vocab)[0]
 
 
 def greedy_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary) -> BeamHypothesis:
     """Greedy decoding: the beam-size-1 special case of the same search."""
-    from dataclasses import replace
-
     return beam_search(memory, model, replace(cfg, beam_size=1), vocab)
 
 
@@ -141,8 +131,7 @@ def decode_corpus(memories, model, cfg: DecodeConfig, vocab: Vocabulary) -> list
     """Beam-search every clip in lockstep, batching the model calls.
 
     All live hypotheses share the same prefix length at each step, so
-    one ``step_logits_batch`` call serves every clip; results are
-    identical to per-clip ``beam_search``.
+    one ``step_logits_batch`` call serves every clip.
     """
     memories = [np.asarray(m) for m in memories]
     if any(m.shape != memories[0].shape for m in memories):

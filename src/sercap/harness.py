@@ -21,9 +21,10 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig, clone, from_manifest, to_manifest
 from .data import CaptionedClip, EventGrammar, generate_split
-from .decoding import DecodeConfig, decode_corpus
+from .decoding import BeamHypothesis, DecodeConfig, decode_corpus
 from .losses import combined_loss, cross_entropy_smoothed, ser_loss
-from .metrics import EvalItem, FluencyLexicons, MetricReport, evaluate_corpus, fense_compose, has_fluency_error
+from .metrics import (EvalItem, FluencyLexicons, MetricReport, evaluate_corpus, fense_compose,
+                      has_fluency_error, sbert_metric)
 from .model import CaptionerModel, SentenceEncoder, pad_sequences
 from .optim import AdamW, clip_global_norm, cosine_lr, make_param_groups
 from .text import Vocabulary, build_vocab, detokenize, load_stopwords, subword_tokenize, tokenize
@@ -91,17 +92,7 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
     else:
         sent_vocab = build_vocab(train_captions, kind="subword", target_size=config.subword_vocab_size)
 
-    model_cfg = config.model
-    model_cfg.vocab_size = vocab.size
-    model_cfg.validate()
-    model = CaptionerModel(model_cfg, seed=config.seed)
-    encoder = SentenceEncoder(
-        sent_vocab.size,
-        d_sent=model_cfg.d_sent,
-        layers=model_cfg.sent_layers,
-        heads=model_cfg.sent_heads,
-        seed=model_cfg.sent_seed,
-    )
+    model, encoder = build_models(config, vocab, sent_vocab)
     stopwords = load_stopwords(config.decode.stopwords_file or None)
     decode_cfg = DecodeConfig(
         beam_size=config.decode.beam_size,
@@ -124,29 +115,49 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
     )
 
 
-def sentence_embedder(encoder: SentenceEncoder, sent_vocab: Vocabulary):
-    """Caption -> embedding vector through the frozen encoder, memoized."""
-    cache: dict[str, np.ndarray] = {}
+def build_models(config: ExperimentConfig, vocab: Vocabulary,
+                 sent_vocab: Vocabulary) -> tuple[CaptionerModel, SentenceEncoder]:
+    """The captioner and its frozen sentence encoder for ``config``; sets
+    ``config.model.vocab_size`` from ``vocab``."""
+    m = config.model
+    m.vocab_size = vocab.size
+    m.validate()
+    model = CaptionerModel(m, seed=config.seed)
+    encoder = SentenceEncoder(sent_vocab.size, d_sent=m.d_sent, layers=m.sent_layers,
+                              heads=m.sent_heads, seed=m.sent_seed)
+    return model, encoder
+
+
+def sentence_embedder(encoder: SentenceEncoder, sent_vocab: Vocabulary, captions=()):
+    """Caption -> embedding vector through the frozen encoder, memoized.
+
+    ``captions`` are embedded up front in batches; any other caption is
+    embedded on its first use, on its own.
+    """
+    cache = _embed_captions_batch(encoder, sent_vocab, captions)
 
     def embed(text: str) -> np.ndarray:
         if text not in cache:
-            ids = subword_tokenize(text, sent_vocab)
-            cache[text] = encoder.embed_tokens(np.asarray(ids)).data
+            cache.update(_embed_captions_batch(encoder, sent_vocab, [text]))
         return cache[text]
 
     return embed
 
 
 def _embed_captions_batch(encoder, sent_vocab, captions, chunk=64) -> dict[str, np.ndarray]:
-    """Embed unique captions in padded batches; returns a caption->vector map."""
-    unique = sorted(set(captions))
+    """Embed unique captions; returns a caption->vector map.
+
+    Captions are padded in chunks of similar subword length, so little of
+    each chunk is padding.  A single caption is a one-row batch, which
+    gives the same vector bit for bit as ``embed_tokens`` on its 1-D ids.
+    """
+    ids = {c: subword_tokenize(c, sent_vocab) for c in set(captions)}
+    order = sorted(ids, key=lambda c: (len(ids[c]), c))
     out: dict[str, np.ndarray] = {}
-    for i in range(0, len(unique), chunk):
-        group = unique[i : i + chunk]
-        ids, mask = pad_sequences([subword_tokenize(c, sent_vocab) for c in group])
-        vecs = encoder.embed_tokens(ids, mask).data
-        for cap, vec in zip(group, vecs):
-            out[cap] = vec
+    for i in range(0, len(order), chunk):
+        group = order[i : i + chunk]
+        tokens, mask = pad_sequences([ids[c] for c in group])
+        out.update(zip(group, encoder.embed_tokens(tokens, mask).data))
     return out
 
 
@@ -251,25 +262,24 @@ def load_checkpoint(path: str | Path) -> dict:
     return header
 
 
+def load_params(model: CaptionerModel, ckpt: dict) -> None:
+    """Copy a loaded checkpoint's captioner parameters into ``model``."""
+    model.params.load_arrays(_section(ckpt, "param/"))
+
+
+def _section(ckpt: dict, prefix: str) -> dict[str, np.ndarray]:
+    return {n[len(prefix):]: a for n, a in ckpt["array_data"].items() if n.startswith(prefix)}
+
+
 def restore_model(path: str | Path) -> tuple[CaptionerModel, SentenceEncoder, Vocabulary, Vocabulary, ExperimentConfig]:
     """Rebuild the trained captioner (and its frozen encoder) from a checkpoint."""
     ckpt = load_checkpoint(path)
     config = from_manifest(ckpt["config"])
     vocab = Vocabulary(kind=ckpt["vocab"]["kind"], id_to_token=list(ckpt["vocab"]["tokens"]))
     sent_vocab = Vocabulary(kind=ckpt["sent_vocab"]["kind"], id_to_token=list(ckpt["sent_vocab"]["tokens"]))
-    config.model.vocab_size = vocab.size
-    model = CaptionerModel(config.model, seed=config.seed)
-    model.params.load_arrays(
-        {n[len("param/"):]: a for n, a in ckpt["array_data"].items() if n.startswith("param/")}
-    )
+    model, encoder = build_models(config, vocab, sent_vocab)
+    load_params(model, ckpt)
     model.eval_mode()
-    encoder = SentenceEncoder(
-        sent_vocab.size,
-        d_sent=config.model.d_sent,
-        layers=config.model.sent_layers,
-        heads=config.model.sent_heads,
-        seed=config.model.sent_seed,
-    )
     return model, encoder, vocab, sent_vocab, config
 
 
@@ -278,7 +288,7 @@ def restore_model(path: str | Path) -> tuple[CaptionerModel, SentenceEncoder, Vo
 # ---------------------------------------------------------------------------
 
 
-def _validation_pass(exp: Experiment, embed, ref_vectors) -> tuple[float, float, float]:
+def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
     """Eval-mode CE over every (clip, reference) pair, then beam decode
     for the sentence-similarity and FENSE numbers."""
     model, cfg = exp.model, exp.config
@@ -304,23 +314,13 @@ def _validation_pass(exp: Experiment, embed, ref_vectors) -> tuple[float, float,
         ce_den += mask.sum()
     val_ce = ce_num / ce_den
 
-    memories = [model.encode_project(clip.features).data for clip in exp.val_clips]
-    hyps = decode_corpus(memories, model, exp.decode_cfg, exp.vocab)
+    hyps = decode_split(model, [clip.features for clip in exp.val_clips], exp.decode_cfg, exp.vocab)
     candidates = [detokenize(h.tokens, exp.vocab) for h in hyps]
-
-    sbert_scores = []
-    for clip, cand in zip(exp.val_clips, candidates):
-        cvec = embed(cand)
-        sims = []
-        for ref in clip.captions:
-            rvec = ref_vectors[ref]
-            na, nb = np.linalg.norm(cvec), np.linalg.norm(rvec)
-            sims.append(float(cvec @ rvec / (na * nb)) if na > 0 and nb > 0 else 0.0)
-        score = max(sims) if cfg.sbert_agg == "max" else float(np.mean(sims))
-        sbert_scores.append(score)
+    items = [EvalItem(c, clip.captions) for c, clip in zip(candidates, exp.val_clips)]
+    val_sbert, sbert_scores = sbert_metric(items, embed, agg=cfg.sbert_agg)
     flags = [has_fluency_error(c, exp.lexicons) for c in candidates]
     val_fense, _ = fense_compose(sbert_scores, flags)
-    return float(val_ce), float(np.mean(sbert_scores)), float(val_fense)
+    return float(val_ce), val_sbert, float(val_fense)
 
 
 def train(
@@ -344,13 +344,8 @@ def train(
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        model.params.load_arrays(
-            {n[len("param/"):]: a for n, a in ckpt["array_data"].items() if n.startswith("param/")}
-        )
-        optimizer.load_state_arrays(
-            {n[len("optim/"):]: a for n, a in ckpt["array_data"].items() if n.startswith("optim/")},
-            ckpt["step_count"],
-        )
+        load_params(model, ckpt)
+        optimizer.load_state_arrays(_section(ckpt, "optim/"), ckpt["step_count"])
         shuffle_rng = _restore_rng(ckpt["rng"]["shuffle"])
         dropout_rng = _restore_rng(ckpt["rng"]["dropout"])
         start_epoch = ckpt["epoch"]
@@ -365,8 +360,7 @@ def train(
         train_targets = _embed_captions_batch(
             exp.encoder, exp.sent_vocab, [c.captions[0] for c in exp.train_clips]
         )
-    embed = sentence_embedder(exp.encoder, exp.sent_vocab)
-    ref_vectors = _embed_captions_batch(
+    embed = sentence_embedder(
         exp.encoder, exp.sent_vocab, [cap for clip in exp.val_clips for cap in clip.captions]
     )
 
@@ -432,7 +426,7 @@ def train(
             optimizer.zero_grad()
             epoch_losses.append(loss.item())
 
-        val_ce, val_sbert, val_fense = _validation_pass(exp, embed, ref_vectors)
+        val_ce, val_sbert, val_fense = _validation_pass(exp, embed)
         curve.append(CurveRow(epoch, float(np.mean(epoch_losses)), val_ce, val_sbert, lr))
         fense_history.append(val_fense)
         if val_fense > best_fense:
@@ -494,19 +488,19 @@ def read_curve(path: str | Path) -> list[CurveRow]:
 # ---------------------------------------------------------------------------
 
 
-def decode_split(model, clips, decode_cfg, vocab, chunk: int = 64) -> list[str]:
+def decode_split(model, features, decode_cfg, vocab, chunk: int = 64) -> list[BeamHypothesis]:
+    """Beam-decode equal-shape clip features, ``chunk`` clips per batched search."""
     model.eval_mode()
-    captions = []
-    for i in range(0, len(clips), chunk):
-        group = clips[i : i + chunk]
-        memories = [model.encode_project(c.features).data for c in group]
-        hyps = decode_corpus(memories, model, decode_cfg, vocab)
-        captions.extend(detokenize(h.tokens, vocab) for h in hyps)
-    return captions
+    hyps = []
+    for i in range(0, len(features), chunk):
+        memories = [model.encode_project(f).data for f in features[i : i + chunk]]
+        hyps.extend(decode_corpus(memories, model, decode_cfg, vocab))
+    return hyps
 
 
 def evaluate_split(exp: Experiment, clips, spice_per_item=None) -> tuple[MetricReport, list[str]]:
-    candidates = decode_split(exp.model, clips, exp.decode_cfg, exp.vocab)
+    hyps = decode_split(exp.model, [c.features for c in clips], exp.decode_cfg, exp.vocab)
+    candidates = [detokenize(h.tokens, exp.vocab) for h in hyps]
     items = [EvalItem(candidate=c, references=clip.captions) for c, clip in zip(candidates, clips)]
     embed = sentence_embedder(exp.encoder, exp.sent_vocab)
     report = evaluate_corpus(items, embedder=embed, lexicons=exp.lexicons,
@@ -549,11 +543,7 @@ def run_ablation(base: ExperimentConfig, out_dir: str | Path, n_seeds: int | Non
                     run_dir = out_dir / label / f"seed{s}"
                     try:
                         result = train(cfg, run_dir)
-                        best = load_checkpoint(result.best_ckpt)
-                        result.experiment.model.params.load_arrays(
-                            {n[len("param/"):]: a for n, a in best["array_data"].items()
-                             if n.startswith("param/")}
-                        )
+                        load_params(result.experiment.model, load_checkpoint(result.best_ckpt))
                         report, _ = evaluate_split(result.experiment, result.experiment.test_clips)
                         per_seed.append({
                             "seed": cfg.seed,
@@ -619,11 +609,13 @@ def plot_curves(curve_files: list[str | Path], out_csv: str | Path, out_png: str
     if out_png is not None:
         try:
             import matplotlib
-
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError:
-            return
+        except ImportError as err:
+            raise ImportError(
+                f"cannot render {out_png}: matplotlib is missing; install the 'plot' extra "
+                "(pip install 'sercap[plot]')"
+            ) from err
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
         fig, axes = plt.subplots(1, 2, figsize=(10, 4))
         for name, rows in runs:
             epochs = [r.epoch for r in rows]

@@ -17,7 +17,7 @@ from sercap.autodiff import Tape, Tensor
 from sercap.config import ExperimentConfig, clone
 from sercap.data import EventGrammar, generate_split
 from sercap.decoding import DecodeConfig, beam_search, exhaustive_search, greedy_search
-from sercap.harness import evaluate_split, load_checkpoint, param_l2, train
+from sercap.harness import evaluate_split, load_checkpoint, load_params, param_l2, train
 from sercap.losses import combined_loss, cross_entropy_smoothed, smooth_l1, ser_loss
 from sercap.metrics import EvalItem, cross_reference, fense_compose, spider
 from sercap.model import CaptionerModel, ModelConfig, SentenceEncoder
@@ -76,18 +76,10 @@ def study(tmp_path_factory):
         runs = []
         for seed in STUDY_SEEDS:
             result = train(study_config(lam, wd, seed), root / label / f"seed{seed}")
-            best = load_checkpoint(result.best_ckpt)
-            result.experiment.model.params.load_arrays(
-                {n[len("param/"):]: a for n, a in best["array_data"].items()
-                 if n.startswith("param/")}
-            )
+            load_params(result.experiment.model, load_checkpoint(result.best_ckpt))
             report, _ = evaluate_split(result.experiment, result.experiment.test_clips)
             # final (post-training) norms come from the last checkpoint
-            last = load_checkpoint(result.last_ckpt)
-            result.experiment.model.params.load_arrays(
-                {n[len("param/"):]: a for n, a in last["array_data"].items()
-                 if n.startswith("param/")}
-            )
+            load_params(result.experiment.model, load_checkpoint(result.last_ckpt))
             runs.append({
                 "seed": seed,
                 "curve": result.curve,
@@ -137,32 +129,9 @@ def test_acceptance_gradient_suite():
     with criterion("gradient-suite"):
         t0 = time.time()
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-
-            def t(shape, scale=1.0):
-                return Tensor(rng.normal(0, scale, shape), requires_grad=True)
-
-            primitives = [
-                (lambda a, b: ad.matmul(a, b).sum(), [t((2, 3)), t((3, 2))]),
-                (lambda a, b: ad.matmul(a, b).mean(), [t((2, 2, 3)), t((3, 2))]),
-                (lambda a, b: (a * b + a - b).sum(), [t((3, 2)), t((3, 2))]),
-                (lambda a, b: (a / b).sum(), [t((2, 2)), Tensor(rng.uniform(0.5, 2, (2, 2)), requires_grad=True)]),
-                (lambda a: ad.softmax(a, axis=-1).mean(), [t((2, 5))]),
-                (lambda a: (ad.log_softmax(a) * a).sum(), [t((2, 5))]),
-                (lambda a, g, b: (ad.layer_norm(a, g, b, 1e-5) * ad.layer_norm(a, g, b, 1e-5)).mean(), [t((2, 4)), t((4,)), t((4,))]),
-                (lambda a: ad.gelu(a).sum(), [t((6,))]),
-                (lambda a: (ad.embedding_lookup(a, np.array([0, 2, 2, 1])) * ad.embedding_lookup(a, np.array([0, 2, 2, 1]))).sum(), [t((4, 3))]),
-                (lambda a: ad.dropout(a, 0.3, True, np.random.default_rng(9)).sum(), [t((4, 4))]),
-                (lambda a: ad.gather_last(a, np.array([1, 0])).sum(), [t((2, 3))]),
-                (lambda a: ad.absolute(a).sum(), [Tensor(rng.normal(0, 1, (5,)) + 0.3, requires_grad=True)]),
-                (lambda a: ad.sqrt(a).sum(), [Tensor(rng.uniform(0.5, 2, (4,)), requires_grad=True)]),
-                (lambda a: (ad.exp(a) * ad.log(ad.exp(a))).sum(), [t((3,))]),
-                (lambda a: ad.concat([a, a * 2.0], axis=1).sum(axis=0).mean(), [t((2, 3))]),
-                (lambda a: a.transpose((1, 0)).reshape(6).sum(), [t((2, 3))]),
-            ]
-            for f, inputs in primitives:
+            for name, (f, inputs) in ad.gradcheck_cases(np.random.default_rng(seed)).items():
                 report = ad.grad_check(f, inputs, eps=1e-5, rtol=1e-4)
-                assert report.passed, f"primitive failed at seed {seed}: {report.max_rel_error:.2e}"
+                assert report.passed, f"primitive {name} failed at seed {seed}: {report.max_rel_error:.2e}"
 
             loss_fn, params = _composite_loss_fn(seed)
             report = ad.grad_check(loss_fn, params, eps=1e-5, rtol=1e-4)

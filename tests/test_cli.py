@@ -1,11 +1,13 @@
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sercap.cli import main
+from sercap.harness import CurveRow, write_curve
 
 
 def write_tiny_config(path: Path, **extra) -> Path:
@@ -163,6 +165,18 @@ class TestPlotCommand:
         ])
         assert rc == 0
         assert (tmp_path / "all.csv").read_text().startswith("run,epoch,")
+
+    def test_png_without_matplotlib_fails(self, tmp_path, monkeypatch, capsys):
+        write_curve([CurveRow(0, 1.0, 2.0, 0.5, 5e-4)], tmp_path / "curve.csv")
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        rc = main([
+            "plot", "--curves", str(tmp_path / "curve.csv"),
+            "--out-csv", str(tmp_path / "all.csv"), "--out-png", str(tmp_path / "all.png"),
+        ])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert "'plot' extra" in captured.err
+        assert "wrote" not in captured.out
 
 
 class TestAblateCommand:

@@ -247,6 +247,4 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             DecodeConfig(min_len=5, max_len=4)
         with pytest.raises(ValueError):
-            DecodeConfig(length_norm="mean")
-        with pytest.raises(ValueError):
             DecodeConfig(stopwords=frozenset())
