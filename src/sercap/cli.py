@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import ExperimentConfig, parse_config
+from .config import ConfigError, apply_settings, parse_config
 from .data import EventGrammar, dataset_stats, generate_split, load_features, save_captions, save_features
-from .decoding import DecodeConfig
-from .harness import NanLossError, decode_split, plot_curves, restore_model, run_ablation, sentence_embedder, train
+from .harness import (NanLossError, build_decode_config, decode_split, plot_curves, restore_model,
+                      run_ablation, sentence_embedder, train)
 from .metrics import EvalItem, FluencyLexicons, evaluate_corpus
 from .model import SentenceEncoder
-from .text import build_vocab, detokenize, load_stopwords
+from .text import build_vocab, detokenize
 
 
 def _cmd_synth_data(args) -> int:
@@ -44,11 +44,7 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = parse_config(args.config) if args.config else ExperimentConfig()
-    if args.epochs is not None:
-        config.optim.epochs = args.epochs
-    if args.seed is not None:
-        config.seed = args.seed
+    config = parse_config(args.config, args.set)
     try:
         result = train(config, args.out, resume_from=args.resume)
     except NanLossError as err:
@@ -61,17 +57,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_decode(args) -> int:
     model, _, vocab, _, config = restore_model(args.checkpoint)
+    apply_settings(config, [("--set", raw) for raw in args.set], prefix="decode.")
     features = load_features(args.features)
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else load_stopwords(
-        config.decode.stopwords_file or None
-    )
-    cfg = DecodeConfig(
-        beam_size=args.beam if args.beam is not None else config.decode.beam_size,
-        min_len=args.min_len if args.min_len is not None else config.decode.min_len,
-        max_len=args.max_len if args.max_len is not None else config.decode.max_len,
-        stopwords=stopwords,
-    )
-    hyps = decode_split(model, features, cfg, vocab)
+    hyps = decode_split(model, features, build_decode_config(config), vocab)
     lines = [detokenize(h.tokens, vocab) for h in hyps]
     sidecar = [{"index": i, "caption": caption, "log_prob": h.log_prob, "tokens": h.tokens}
                for i, (caption, h) in enumerate(zip(lines, hyps))]
@@ -104,8 +92,10 @@ def _cmd_evaluate(args) -> int:
         payload = json.loads(Path(args.spice_scores).read_text())
         spice = payload["per_item"] if isinstance(payload, dict) else list(payload)
 
-    all_caps = candidates + [r for refs in references for r in refs]
-    vocab = build_vocab(all_caps, kind="subword", target_size=args.vocab_size)
+    # the references alone fix the encoder, so an item's score does not
+    # depend on the other items' candidates
+    vocab = build_vocab([r for refs in references for r in refs], kind="subword",
+                        target_size=args.vocab_size)
     encoder = SentenceEncoder(vocab.size, d_sent=args.d_sent, seed=args.encoder_seed)
     embed = sentence_embedder(encoder, vocab)
     report = evaluate_corpus(items, embedder=embed, lexicons=FluencyLexicons.default(),
@@ -116,8 +106,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config = parse_config(args.config) if args.config else ExperimentConfig()
-    report = run_ablation(config, args.out, n_seeds=args.seeds)
+    report = run_ablation(parse_config(args.config, args.set), args.out)
     failed = [k for k, c in report["cells"].items() if c["status"] != "ok"]
     print((Path(args.out) / "ablation.md").read_text())
     if failed:
@@ -153,6 +142,11 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _add_set(p, what: str = "a config key, applied after --config") -> None:
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help=f"override {what}; repeatable")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sercap")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -173,18 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--resume")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    _add_set(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("decode", help="caption a feature container with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--min-len", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--stopwords")
+    _add_set(p, "a decode.* config key, over the checkpoint's value")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("evaluate", help="score candidates against grouped references")
@@ -200,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run the tokenizer x lambda x wd grid")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int)
+    _add_set(p)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks over the op set")
@@ -220,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:
+        print(f"sercap {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

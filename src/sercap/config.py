@@ -1,9 +1,10 @@
 """Experiment configuration.
 
 One dataclass bundle per run, serialized as a flat ``section.key=value``
-text file (comments start with ``#``).  File keys keep the short names
-used on the command line (``loss.lambda``, ``optim.wd``, ``decode.beam``)
-and map onto the dataclass fields below; ``to_manifest`` spells out every
+text file (comments start with ``#``).  File keys are short names
+(``loss.lambda``, ``optim.wd``, ``decode.beam``) that map onto the
+dataclass fields below; the command line's ``--set key=value`` overrides
+go through the same code as a file's lines; ``to_manifest`` spells out every
 effective value so two machines produce identical manifests for the same
 config.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .losses import LossConfig
 from .model import ModelConfig
@@ -66,6 +68,10 @@ class ExperimentConfig:
     sbert_agg: str = "mean"
 
     def validate(self) -> None:
+        # re-run the sections' own checks, which fields set after
+        # construction have bypassed
+        self.loss.__post_init__()
+        self.optim.__post_init__()
         if self.tokenizer not in ("word", "subword"):
             raise ValueError(f"tokenizer must be word or subword, got {self.tokenizer!r}")
         if self.batch_size < 1 or self.n_seeds < 1:
@@ -140,24 +146,44 @@ def _coerce(value: str, typ) -> object:
     return value
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+class ConfigError(ValueError):
+    """A config line or ``--set`` override that cannot be applied."""
+
+
+def parse_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -> ExperimentConfig:
+    """Defaults, then ``path``'s lines, then ``overrides`` (``key=value``
+    strings, as given to ``--set``); validated once at the end."""
+    entries = []
+    if path is not None:
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            if raw.strip() and not raw.strip().startswith("#"):
+                entries.append((f"{path}:{lineno}", raw))
+    entries += [("--set", raw) for raw in overrides]
+    return apply_settings(ExperimentConfig(), entries)
+
+
+def apply_settings(cfg: ExperimentConfig, entries: Iterable[tuple[str, str]],
+                   prefix: str = "") -> ExperimentConfig:
+    """Apply ``(source, "key=value")`` entries to ``cfg`` in order, then
+    validate it.  With ``prefix``, only keys starting with it are accepted."""
+    for source, raw in entries:
+        if "=" not in raw:
+            raise ConfigError(f"{source}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in raw.split("=", 1))
         if key not in _KEYMAP:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{source}: unknown config key {key!r}")
+        if not key.startswith(prefix):
+            raise ConfigError(f"{source}: only {prefix}* keys can be set here, got {key!r}")
         section, attr = _KEYMAP[key]
         target = cfg if section == "" else getattr(cfg, section)
-        setattr(target, attr, _coerce(value, _field_type(target, attr)))
-    # re-run dataclass validation on mutated sections
-    cfg.loss.__post_init__()
-    cfg.optim.__post_init__()
-    cfg.validate()
+        try:
+            setattr(target, attr, _coerce(value, _field_type(target, attr)))
+        except ValueError as err:
+            raise ConfigError(f"{source}: {key}: {err}") from err
+    try:
+        cfg.validate()
+    except ValueError as err:
+        raise ConfigError(f"invalid config: {err}") from err
     return cfg
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .config import ExperimentConfig, clone, from_manifest, to_manifest
+from .config import ExperimentConfig, clone, from_manifest, save_manifest, to_manifest
 from .data import CaptionedClip, EventGrammar, generate_split
 from .decoding import BeamHypothesis, DecodeConfig, decode_corpus
 from .losses import combined_loss, cross_entropy_smoothed, ser_loss
@@ -93,13 +94,6 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
         sent_vocab = build_vocab(train_captions, kind="subword", target_size=config.subword_vocab_size)
 
     model, encoder = build_models(config, vocab, sent_vocab)
-    stopwords = load_stopwords(config.decode.stopwords_file or None)
-    decode_cfg = DecodeConfig(
-        beam_size=config.decode.beam_size,
-        min_len=config.decode.min_len,
-        max_len=config.decode.max_len,
-        stopwords=stopwords,
-    )
     return Experiment(
         config=config,
         grammar=grammar,
@@ -110,7 +104,7 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
         sent_vocab=sent_vocab,
         model=model,
         encoder=encoder,
-        decode_cfg=decode_cfg,
+        decode_cfg=build_decode_config(config),
         lexicons=FluencyLexicons.default(),
     )
 
@@ -126,6 +120,13 @@ def build_models(config: ExperimentConfig, vocab: Vocabulary,
     encoder = SentenceEncoder(sent_vocab.size, d_sent=m.d_sent, layers=m.sent_layers,
                               heads=m.sent_heads, seed=m.sent_seed)
     return model, encoder
+
+
+def build_decode_config(config: ExperimentConfig) -> DecodeConfig:
+    """The beam-search settings of ``config``, with its stopword list loaded."""
+    d = config.decode
+    return DecodeConfig(beam_size=d.beam_size, min_len=d.min_len, max_len=d.max_len,
+                        stopwords=load_stopwords(d.stopwords_file or None))
 
 
 def sentence_embedder(encoder: SentenceEncoder, sent_vocab: Vocabulary, captions=()):
@@ -439,10 +440,7 @@ def train(
     (out_dir / "fense_history.json").write_text(
         json.dumps({"val_fense": fense_history, "best_epoch": best_epoch}, indent=2) + "\n"
     )
-    manifest = to_manifest(cfg)
-    manifest["model.vocab_size"] = exp.vocab.size
-    manifest["encoder_hash"] = exp.encoder.param_hash()
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    save_manifest(cfg, out_dir / "manifest.json", extra={"encoder_hash": exp.encoder.param_hash()})
 
     return TrainResult(
         experiment=exp,
@@ -597,8 +595,14 @@ def _ablation_markdown(report: dict) -> str:
 
 
 def plot_curves(curve_files: list[str | Path], out_csv: str | Path, out_png: str | Path | None = None) -> None:
-    """Merge learning curves into one CSV; optionally render an overlay."""
-    runs = [(Path(p).parent.name or Path(p).stem, read_curve(p)) for p in curve_files]
+    """Merge learning curves into one CSV; optionally render an overlay.
+
+    Each run is named by its directory relative to the common parent of
+    the run directories (``cell/seed0``).
+    """
+    dirs = [Path(p).resolve().parent for p in curve_files]
+    base = Path(os.path.commonpath([d.parent for d in dirs]))
+    runs = [(d.relative_to(base).as_posix(), read_curve(p)) for d, p in zip(dirs, curve_files)]
     with Path(out_csv).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("run",) + CURVE_COLUMNS)

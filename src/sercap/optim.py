@@ -28,6 +28,8 @@ class OptimConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass

@@ -6,15 +6,17 @@ regression-loss, large-weight-decay) on the default synthetic split,
 with a reduced study model so the whole grid stays inside its runtime
 budget on a small machine.
 """
+import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sercap import autodiff as ad
 from sercap.autodiff import Tape, Tensor
-from sercap.config import ExperimentConfig, clone
+from sercap.config import ExperimentConfig, clone, parse_config, to_manifest
 from sercap.data import EventGrammar, generate_split
 from sercap.decoding import DecodeConfig, beam_search, exhaustive_search, greedy_search
 from sercap.harness import evaluate_split, load_checkpoint, load_params, param_l2, train
@@ -35,13 +37,27 @@ def criterion(name: str):
     print(f"[ACCEPTANCE] {name}: PASS")
 
 
-def study_config(ser_weight: float, weight_decay: float, seed: int) -> ExperimentConfig:
-    """Reduced-size study model on the default synthetic split.
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-    Dropout is disabled here on purpose: at desk scale the default 0.2
-    suppresses overfitting entirely, which would make the regularization
-    comparisons vacuous.  The split itself is the default one.
-    """
+
+def study_config(ser_weight: float, weight_decay: float, seed: int) -> ExperimentConfig:
+    """The reduced study model (``configs/study.cfg``, dropout off) on the
+    default synthetic split, at one lambda x weight-decay cell."""
+    return parse_config(CONFIGS / "study.cfg", [
+        f"loss.lambda={ser_weight!r}", f"optim.wd={weight_decay!r}", f"experiment.seed={seed}",
+    ])
+
+
+STUDY_SEEDS = (0, 1, 2)
+STUDY_CELLS = {
+    "baseline": (0.0, 1e-6),
+    "ser": (100.0, 1e-6),
+    "wd2": (0.0, 2.0),
+}
+
+
+def _hand_built_study_config(ser_weight: float, weight_decay: float, seed: int) -> ExperimentConfig:
+    # the study cell's values, spelled out; configs/study.cfg must reproduce them
     cfg = ExperimentConfig()
     cfg.model.d_model = 96
     cfg.model.decoder_layers = 2
@@ -58,12 +74,25 @@ def study_config(ser_weight: float, weight_decay: float, seed: int) -> Experimen
     return cfg
 
 
-STUDY_SEEDS = (0, 1, 2)
-STUDY_CELLS = {
-    "baseline": (0.0, 1e-6),
-    "ser": (100.0, 1e-6),
-    "wd2": (0.0, 2.0),
-}
+def test_presets_match_hand_built_configs():
+    # pins the runs the study fixture and the overfit criterion train, down
+    # to the JSON types of the manifest values
+    def manifest_json(cfg):
+        return json.dumps(to_manifest(cfg), sort_keys=True)
+
+    for lam, wd in STUDY_CELLS.values():
+        for seed in STUDY_SEEDS:
+            assert manifest_json(study_config(lam, wd, seed)) == \
+                manifest_json(_hand_built_study_config(lam, wd, seed))
+    overfit = _hand_built_study_config(0.0, 1e-6, seed=0)
+    overfit.corpus.n_train = 32
+    overfit.corpus.n_val = 8
+    overfit.corpus.n_test = 8
+    overfit.corpus.noise_sigma = 0.0
+    overfit.optim.epochs = 100
+    overfit.batch_size = 8
+    overfit.loss.label_smoothing = 0.0
+    assert manifest_json(parse_config(CONFIGS / "overfit.cfg")) == manifest_json(overfit)
 
 
 @pytest.fixture(scope="module")
@@ -210,14 +239,7 @@ def test_acceptance_smooth_l1():
 
 def test_acceptance_overfit_sanity(tmp_path):
     with criterion("overfit-sanity"):
-        cfg = study_config(0.0, 1e-6, seed=0)
-        cfg.corpus.n_train = 32
-        cfg.corpus.n_val = 8
-        cfg.corpus.n_test = 8
-        cfg.corpus.noise_sigma = 0.0
-        cfg.optim.epochs = 100
-        cfg.batch_size = 8
-        cfg.loss.label_smoothing = 0.0  # the 0.1-smoothed CE is floored near 0.78 nats
+        cfg = parse_config(CONFIGS / "overfit.cfg")
         t0 = time.time()
         result = train(cfg, tmp_path / "overfit")
         elapsed = time.time() - t0

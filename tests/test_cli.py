@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from sercap.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 from sercap.harness import CurveRow, write_curve
 
 
@@ -88,7 +90,7 @@ class TestTrainDecode:
         rc = main([
             "decode", "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
             "--features", str(tmp_path / "data" / "test_features.bin"),
-            "--out", str(out), "--min-len", "2", "--max-len", "4",
+            "--out", str(out), "--set", "decode.min_len=2", "--set", "decode.max_len=4",
         ])
         assert rc == 0
         sidecar = json.loads(out.with_suffix(".txt.json").read_text())
@@ -133,6 +135,23 @@ class TestEvaluate:
         report = json.loads(out.read_text())
         assert report["spice"] == pytest.approx(0.3, abs=1e-6)
         assert report["spider"] == pytest.approx((report["cider_d"] + 0.3) / 2, abs=1e-6)
+
+    def test_item_score_ignores_other_candidates(self, tmp_path):
+        self._write_inputs(tmp_path)
+        per_item = []
+        for other in ("the rain patters", "a violin hums beside humming kettles"):
+            (tmp_path / "cands.txt").write_text(f"a dog barks\n{other}\n")
+            out = tmp_path / "report.json"
+            rc = main([
+                "evaluate", "--candidates", str(tmp_path / "cands.txt"),
+                "--references", str(tmp_path / "refs.jsonl"), "--out", str(out),
+                "--d-sent", "32",
+            ])
+            assert rc == 0
+            per_item.append(json.loads(out.read_text())["per_item"])
+        for key in ("sbert", "fense"):
+            assert per_item[0][key][0] == per_item[1][key][0], key
+        assert per_item[0]["sbert"][1] != per_item[1]["sbert"][1]
 
     def test_misaligned_inputs_fail(self, tmp_path):
         (tmp_path / "cands.txt").write_text("a dog barks\n")
@@ -183,8 +202,72 @@ class TestAblateCommand:
     def test_tiny_grid(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "run.cfg", **{"optim.epochs": 1})
         rc = main([
-            "ablate", "--config", str(cfg), "--out", str(tmp_path / "abl"), "--seeds", "1",
+            "ablate", "--config", str(cfg), "--out", str(tmp_path / "abl"),
+            "--set", "experiment.n_seeds=1",
         ])
         assert rc == 0
         report = json.loads((tmp_path / "abl" / "ablation.json").read_text())
         assert len(report["cells"]) == 8
+
+
+class TestSetOverrides:
+    def test_overfit_preset_smoke(self, tmp_path):
+        rc = main([
+            "train", "--config", str(CONFIGS / "overfit.cfg"), "--out", str(tmp_path / "run"),
+            "--set", "optim.epochs=1",
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["optim.epochs"] == 1 and manifest["model.d_model"] == 96
+        assert (tmp_path / "run" / "best.ckpt").exists()
+
+    def test_set_overrides_config_file(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "run.cfg")
+        rc = main([
+            "train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+            "--set", "optim.epochs=1", "--set", "experiment.seed=3",
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["optim.epochs"] == 1 and manifest["experiment.seed"] == 3
+
+    @pytest.mark.parametrize("setting, named", [
+        ("model.width=12", "model.width"),
+        ("optim.epochs", "optim.epochs"),
+        ("optim.epochs=many", "optim.epochs"),
+    ])
+    def test_bad_setting_fails_naming_key(self, tmp_path, capsys, setting, named):
+        rc = main(["train", "--out", str(tmp_path / "run"), "--set", setting])
+        assert rc != 0
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_decode_accepts_only_decode_keys(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "run.cfg")
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        main([
+            "synth-data", "--out", str(tmp_path / "data"),
+            "--n-train", "2", "--n-val", "2", "--n-test", "2", "--d-enc", "8",
+        ])
+        capsys.readouterr()
+        out = tmp_path / "decoded.txt"
+        rc = main([
+            "decode", "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+            "--features", str(tmp_path / "data" / "test_features.bin"),
+            "--out", str(out), "--set", "model.d_model=8",
+        ])
+        assert rc != 0
+        assert "model.d_model" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["file", "set"])
+    def test_zero_epochs_rejected(self, tmp_path, capsys, via):
+        if via == "file":
+            cfg = write_tiny_config(tmp_path / "run.cfg", **{"optim.epochs": 0})
+            argv = ["--config", str(cfg)]
+        else:
+            argv = ["--config", str(write_tiny_config(tmp_path / "run.cfg")), "--set", "optim.epochs=0"]
+        rc = main(["train", "--out", str(tmp_path / "run"), *argv])
+        assert rc != 0
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +111,19 @@ def test_decode_max_len_cannot_exceed_model(tmp_path):
     p.write_text("decode.max_len=40\nmodel.max_len=30\n")
     with pytest.raises(ValueError):
         parse_config(p)
+
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*")),
+                         ids=lambda p: p.name)
+def test_every_shipped_config_parses(path):
+    parse_config(path)
+
+
+def test_overrides_apply_after_file_lines(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("optim.wd=2\nloss.lambda=10\n")
+    cfg = parse_config(p, ["optim.wd=0.5", "experiment.seed=4"])
+    assert cfg.optim.weight_decay == 0.5
+    assert cfg.loss.ser_weight == 10.0
+    assert cfg.seed == 4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sercap import autodiff, data, decoding, harness, metrics, model, optim
-from sercap.config import ExperimentConfig, clone
+from sercap.config import ExperimentConfig, clone, to_manifest
 from sercap.harness import (
     CURVE_COLUMNS,
     CurveRow,
@@ -155,6 +155,16 @@ class TestTrain:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["model.vocab_size"] == res.experiment.vocab.size
         assert manifest["loss.lambda"] == 100.0
+
+    def test_manifest_bytes(self, tmp_path):
+        # the layout run directories have always carried: every config key,
+        # the data-dependent vocab size and the frozen encoder's hash
+        res = train(tiny_config(), tmp_path / "run")
+        expected = to_manifest(res.experiment.config)
+        expected["model.vocab_size"] = res.experiment.vocab.size
+        expected["encoder_hash"] = res.experiment.encoder.param_hash()
+        assert (tmp_path / "run" / "manifest.json").read_text() == \
+            json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_nan_abort_writes_diagnostic(self, tmp_path, monkeypatch):
         # layer norm and stable softmax make organic NaNs nearly impossible
@@ -312,6 +322,16 @@ class TestPlotCurves:
         lines = (tmp_path / "all.csv").read_text().splitlines()
         assert lines[0] == "run," + ",".join(CURVE_COLUMNS)
         assert len(lines) == 1 + len(res.curve)
+
+    def test_runs_named_by_path_below_common_parent(self, tmp_path):
+        rows = [CurveRow(0, 1.0, 2.0, 0.5, 5e-4)]
+        files = [tmp_path / "abl" / cell / "seed0" / "curve.csv" for cell in ("cellA", "cellB")]
+        for f in files:
+            f.parent.mkdir(parents=True)
+            write_curve(rows, f)
+        plot_curves(files, tmp_path / "all.csv")
+        names = [line.split(",")[0] for line in (tmp_path / "all.csv").read_text().splitlines()[1:]]
+        assert names == ["cellA/seed0", "cellB/seed0"]
 
     def test_png_without_matplotlib_names_plot_extra(self, tmp_path, monkeypatch):
         write_curve([CurveRow(0, 1.0, 2.0, 0.5, 5e-4)], tmp_path / "curve.csv")
