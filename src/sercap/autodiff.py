@@ -5,6 +5,8 @@ Tape is active, appends a vector-Jacobian callback to it.  The tape is
 rebuilt on every forward pass; Tape.backward sweeps the recorded nodes
 once in reverse execution order (which is a valid topological order for
 an eagerly built graph) and accumulates gradients into ``Tensor.grad``.
+A VJP computes an input's gradient only when that input requires one,
+and each node is released as soon as its VJP has run.
 
 Broadcasting is supported only where the models need it: bias rows,
 scalar coefficients, and batched matmul with 2-D weights.
@@ -126,9 +128,14 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate grads of every reachable requires_grad tensor.
+        """Populate grads of every reachable requires_grad leaf.
 
-        Gradients accumulate into existing ``grad`` buffers until
+        Only leaves (parameters and user inputs) keep a ``grad``: an op
+        output's gradient is dropped once its VJP has run, and that node's
+        slot is cleared so its saved activations can be freed; ``len()``
+        still counts the recorded nodes.  No gradient is computed for an
+        input without ``requires_grad`` (a frozen weight, a constant
+        mask).  Gradients accumulate into existing ``grad`` buffers until
         explicitly zeroed, so parameter gradients survive across tapes.
         """
         if self._consumed:
@@ -137,8 +144,11 @@ class Tape:
             raise TapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
         _accumulate(loss, np.ones_like(loss.data))
-        for out, inputs, vjp in reversed(self._nodes):
-            g = out.grad
+        nodes = self._nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            out, inputs, vjp = nodes[i]
+            nodes[i] = None
+            g, out.grad = out.grad, None
             if g is None:
                 continue
             for inp, gi in zip(inputs, vjp(g)):
@@ -194,7 +204,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), vjp)
 
@@ -204,7 +217,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), vjp)
 
@@ -215,8 +231,8 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), vjp)
@@ -228,8 +244,8 @@ def div(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), vjp)
@@ -264,7 +280,11 @@ def log(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; supports stacked leading dims on either side."""
+    """Matrix product; supports stacked leading dims on either side.
+
+    A stacked ``(..., d)`` input against a 2-D ``(d, k)`` weight gets its
+    weight gradient from one GEMM over the flattened rows.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires operands with ndim >= 2")
@@ -273,9 +293,15 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            if b.ndim == 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return ga, gb
 
     return _make(out, (a, b), vjp)
 
@@ -386,14 +412,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def vjp(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes) if g.ndim > 1 else g * xhat
-        dbeta = g.sum(axis=reduce_axes) if g.ndim > 1 else g
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = dgamma = dbeta = None
+        if gamma.requires_grad:
+            dgamma = (g * xhat).sum(axis=reduce_axes) if g.ndim > 1 else g * xhat
+        if beta.requires_grad:
+            dbeta = g.sum(axis=reduce_axes) if g.ndim > 1 else g
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
         return dx, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), vjp)

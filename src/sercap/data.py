@@ -15,6 +15,7 @@ realizations, mirroring the one-train/five-eval reference convention.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -193,15 +194,32 @@ def save_features(clips: list[CaptionedClip], path: str | Path) -> None:
             fh.write(clip.features.astype("<f8").tobytes())
 
 
+def read_exact(fh, n: int, path: str | Path, what: str) -> bytes:
+    """The next ``n`` bytes of a container; a short read raises a ValueError
+    that names the file and ``what`` was being read."""
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: truncated {what}: expected {n} bytes, got {len(buf)}")
+    return buf
+
+
+def expect_end(fh, path: str | Path) -> None:
+    """Raise a ValueError naming the file if bytes follow the last array."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise ValueError(f"{path}: {extra} unexpected bytes after the last array")
+
+
 def load_features(path: str | Path) -> np.ndarray:
     with Path(path).open("rb") as fh:
         magic = fh.read(4)
         if magic != FEATURES_MAGIC:
             raise ValueError(f"{path}: not a feature container")
-        version, n, t, d = struct.unpack("<III I", fh.read(16))
+        version, n, t, d = struct.unpack("<III I", read_exact(fh, 16, path, "header"))
         if version != FEATURES_VERSION:
             raise ValueError(f"unsupported feature container version {version}")
-        data = np.frombuffer(fh.read(n * t * d * 8), dtype="<f8")
+        data = np.frombuffer(read_exact(fh, n * t * d * 8, path, "features"), dtype="<f8")
+        expect_end(fh, path)
     return data.reshape(n, t, d).copy()
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig, clone, from_manifest, save_manifest, to_manifest
-from .data import CaptionedClip, EventGrammar, generate_split
+from .data import CaptionedClip, EventGrammar, expect_end, generate_split, read_exact
 from .decoding import BeamHypothesis, DecodeConfig, decode_corpus
 from .losses import combined_loss, cross_entropy_smoothed, ser_loss
 from .metrics import (EvalItem, FluencyLexicons, MetricReport, evaluate_corpus, fense_compose,
@@ -238,27 +238,38 @@ def save_checkpoint(
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    # written beside the target and renamed over it, so an interrupted write
+    # leaves the previous checkpoint at ``path`` intact
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
+            fh.write(blob)
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict:
     with Path(path).open("rb") as fh:
         if fh.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        version, header_len = struct.unpack("<IQ", read_exact(fh, 12, path, "header"))
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = json.loads(read_exact(fh, header_len, path, "header").decode("utf-8"))
         arrays = {}
         for meta in header["arrays"]:
             shape = tuple(meta["shape"])
             n = int(np.prod(shape)) if shape else 1
-            arrays[meta["name"]] = np.frombuffer(fh.read(n * 8), dtype="<f8").reshape(shape).copy()
+            buf = read_exact(fh, n * 8, path, f"array {meta['name']}")
+            arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        expect_end(fh, path)
     header["array_data"] = arrays
     return header
 
@@ -513,15 +524,15 @@ ABLATION_AXES = {
 }
 
 
-def run_ablation(base: ExperimentConfig, out_dir: str | Path, n_seeds: int | None = None) -> dict:
-    """Tokenizer x lambda x weight-decay grid, metrics averaged over seeds.
+def run_ablation(base: ExperimentConfig, out_dir: str | Path) -> dict:
+    """Tokenizer x lambda x weight-decay grid, metrics averaged over
+    ``base.n_seeds`` seeds.
 
     Every cell trains on the same corpus seeds; a failed cell is marked
     in the report rather than dropped.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_seeds = n_seeds if n_seeds is not None else base.n_seeds
     cells = {}
     for tok in ABLATION_AXES["tokenizer"]:
         for lam in ABLATION_AXES["ser_weight"]:
@@ -530,7 +541,7 @@ def run_ablation(base: ExperimentConfig, out_dir: str | Path, n_seeds: int | Non
                 per_seed = []
                 status = "ok"
                 error = None
-                for s in range(n_seeds):
+                for s in range(base.n_seeds):
                     cfg = clone(
                         base,
                         loss={"ser_weight": lam},
@@ -570,7 +581,7 @@ def run_ablation(base: ExperimentConfig, out_dir: str | Path, n_seeds: int | Non
                     cell["per_seed"] = per_seed
                 cells[label] = cell
 
-    report = {"axes": {k: list(v) for k, v in ABLATION_AXES.items()}, "n_seeds": n_seeds, "cells": cells}
+    report = {"axes": {k: list(v) for k, v in ABLATION_AXES.items()}, "n_seeds": base.n_seeds, "cells": cells}
     (out_dir / "ablation.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     (out_dir / "ablation.md").write_text(_ablation_markdown(report))
     return report

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +221,93 @@ class TestBackward:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+def _layer_norm(x, g, b):
+    return ad.layer_norm(x, g, b, eps=1e-5)
+
+
+# op, input shapes: broadcast bias rows, a stacked input against a 2-D
+# weight, and per-feature layer-norm parameters
+LEAN_CASES = {
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_2d": (ad.matmul, [(3, 4), (4, 5)]),
+    "add": (ad.add, [(2, 3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (1, 4)]),
+    "div": (ad.div, [(3, 4), (4,)]),
+    "layer_norm": (_layer_norm, [(2, 3, 4), (4,), (4,)]),
+}
+
+
+def _lean_run(name, frozen):
+    """Gradients of a weighted sum of ``op(*inputs)``, inputs in ``frozen`` held fixed,
+    plus what the op's VJP returned."""
+    op, shapes = LEAN_CASES[name]
+    rng = np.random.default_rng(21)
+    inputs = [
+        Tensor(rng.uniform(0.5, 2.0, s), requires_grad=i not in frozen) for i, s in enumerate(shapes)
+    ]
+    with Tape() as tape:
+        out = op(*inputs)
+        loss = (out * Tensor(rng.normal(0, 1, out.shape))).sum()
+    vjp = tape._nodes[0][2]
+    returned = vjp(np.ones(out.shape))
+    tape.backward(loss)
+    return inputs, returned
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("name", sorted(LEAN_CASES))
+    def test_frozen_input_gets_no_gradient(self, name):
+        n = len(LEAN_CASES[name][1])
+        reference, _ = _lean_run(name, frozen=())
+        for k in range(n):
+            inputs, returned = _lean_run(name, frozen=(k,))
+            assert inputs[k].grad is None
+            assert returned[k] is None, f"{name}: VJP computed the gradient of frozen input {k}"
+            for i in set(range(n)) - {k}:
+                np.testing.assert_array_equal(inputs[i].grad, reference[i].grad)
+
+    def test_stacked_weight_gradient_matches_reduced_stack(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(0, 1, (4, 6, 8)), requires_grad=True)
+        w = Tensor(rng.normal(0, 1, (8, 5)), requires_grad=True)
+        upstream = rng.normal(0, 1, (4, 6, 5))
+        with Tape() as tape:
+            loss = (ad.matmul(x, w) * Tensor(upstream)).sum()
+        tape.backward(loss)
+        stacked = np.matmul(np.swapaxes(x.data, -1, -2), upstream)
+        reference = ad._unbroadcast(stacked, w.shape)
+        np.testing.assert_allclose(w.grad, reference, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(x.grad, np.matmul(upstream, w.data.T))
+
+    def test_only_leaves_keep_gradients(self):
+        x = rand((3, 4), seed=23)
+        w = rand((4, 2), seed=24)
+        with Tape() as tape:
+            h = ad.gelu(ad.matmul(x, w))
+            loss = (h * h).sum()
+        n_nodes = len(tape)
+        tape.backward(loss)
+        assert h.grad is None and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+        assert len(tape) == n_nodes
+        with pytest.raises(ad.TapeError):
+            tape.backward(loss)
+
+    def test_activations_freed_during_backward(self):
+        x = rand((64, 64), seed=25)
+        with Tape() as tape:
+            h = ad.gelu(x * 2.0)
+            activation = weakref.ref(h.data)
+            loss = (h * h).sum()
+        del h
+        gc.collect()
+        assert activation() is not None
+        tape.backward(loss)
+        assert activation() is None
+        assert len(tape) == 4
 
 
 class TestGradCheck:

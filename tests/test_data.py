@@ -154,6 +154,19 @@ class TestFeatureContainer:
         assert (version, n, t, d) == (1, 3, 31, 64)
         assert len(raw) == 20 + 3 * 31 * 64 * 8
 
+    def test_truncated_or_overlong_container_names_file(self, grammar, tmp_path):
+        fpath = tmp_path / "f.bin"
+        data.save_features(generate_split(grammar, seed=2, n_clips=2), fpath)
+        raw = fpath.read_bytes()
+        fpath.write_bytes(raw[:-1])
+        with pytest.raises(ValueError, match="truncated features") as err:
+            data.load_features(fpath)
+        assert str(fpath) in str(err.value)
+        fpath.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match="after the last array") as err:
+            data.load_features(fpath)
+        assert str(fpath) in str(err.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -222,33 +222,73 @@ class TestResume:
         assert len(res.curve) == 4
 
 
+def resave(src: Path, dst: Path, corrupt=None) -> None:
+    """Write the state loaded from checkpoint ``src`` to ``dst``, after
+    ``corrupt(model)`` when given."""
+    ckpt = load_checkpoint(src)
+    model, encoder, vocab, sent_vocab, config = restore_model(src)
+    from sercap.optim import AdamW, make_param_groups
+
+    opt = AdamW(make_param_groups(model.named_params()), config.optim)
+    opt.load_state_arrays(
+        {n[len("optim/"):]: a for n, a in ckpt["array_data"].items() if n.startswith("optim/")},
+        ckpt["step_count"],
+    )
+    if corrupt is not None:
+        corrupt(model)
+    save_checkpoint(
+        dst,
+        config=config,
+        model=model,
+        optimizer=opt,
+        vocab=vocab,
+        sent_vocab=sent_vocab,
+        epoch=ckpt["epoch"],
+        best_fense=ckpt["best_fense"],
+        best_epoch=ckpt["best_epoch"],
+        rng_states=ckpt["rng"],
+    )
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         res = train(tiny_config(), tmp_path / "run")
         first = res.last_ckpt.read_bytes()
-        ckpt = load_checkpoint(res.last_ckpt)
-        # write an equivalent checkpoint from the loaded state
-        model, encoder, vocab, sent_vocab, config = restore_model(res.last_ckpt)
-        from sercap.optim import AdamW, make_param_groups
-
-        opt = AdamW(make_param_groups(model.named_params()), config.optim)
-        opt.load_state_arrays(
-            {n[len("optim/"):]: a for n, a in ckpt["array_data"].items() if n.startswith("optim/")},
-            ckpt["step_count"],
-        )
-        save_checkpoint(
-            tmp_path / "again.ckpt",
-            config=config,
-            model=model,
-            optimizer=opt,
-            vocab=vocab,
-            sent_vocab=sent_vocab,
-            epoch=ckpt["epoch"],
-            best_fense=ckpt["best_fense"],
-            best_epoch=ckpt["best_epoch"],
-            rng_states=ckpt["rng"],
-        )
+        resave(res.last_ckpt, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == first
+        resave(tmp_path / "again.ckpt", res.last_ckpt)
+        assert res.last_ckpt.read_bytes() == first
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        res = train(tiny_config(), tmp_path / "run")
+        before = res.last_ckpt.read_bytes()
+        expected = load_checkpoint(res.last_ckpt)["array_data"]
+
+        def unwritable_last_param(model):
+            _, last = list(model.named_params())[-1]
+            last.data = np.full(last.shape, "x")  # fails after the earlier arrays are written
+
+        with pytest.raises(ValueError):
+            resave(res.last_ckpt, res.last_ckpt, corrupt=unwritable_last_param)
+        assert res.last_ckpt.read_bytes() == before
+        loaded = load_checkpoint(res.last_ckpt)["array_data"]
+        assert loaded.keys() == expected.keys()
+        assert all(loaded[k].tobytes() == expected[k].tobytes() for k in expected)
+        assert not list(res.last_ckpt.parent.glob("*.tmp"))
+
+    def test_truncated_or_overlong_checkpoint_names_file_and_array(self, tmp_path):
+        res = train(tiny_config(), tmp_path / "run")
+        raw = res.last_ckpt.read_bytes()
+        last_array = load_checkpoint(res.last_ckpt)["arrays"][-1]["name"]
+        short, long = tmp_path / "short.ckpt", tmp_path / "long.ckpt"
+        short.write_bytes(raw[:-1])
+        long.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_checkpoint(short)
+        assert str(short) in str(err.value) and last_array in str(err.value)
+        with pytest.raises(ValueError, match="after the last array") as err:
+            load_checkpoint(long)
+        assert str(long) in str(err.value)
 
     def test_restore_model_reproduces_logits(self, tmp_path):
         res = train(tiny_config(), tmp_path / "run")
@@ -279,8 +319,8 @@ class TestEvaluateSplit:
 
 class TestAblation:
     def test_grid_has_eight_cells(self, tmp_path):
-        base = tiny_config(optim__epochs=1)
-        report = run_ablation(base, tmp_path / "abl", n_seeds=1)
+        base = tiny_config(optim__epochs=1, n_seeds=1)
+        report = run_ablation(base, tmp_path / "abl")
         assert len(report["cells"]) == 8
         for label, cell in report["cells"].items():
             assert cell["status"] == "ok", (label, cell)
@@ -289,8 +329,8 @@ class TestAblation:
         assert (tmp_path / "abl" / "ablation.md").exists()
 
     def test_seed_mean_of_constant_metric(self, tmp_path):
-        base = tiny_config(optim__epochs=1)
-        report = run_ablation(base, tmp_path / "abl", n_seeds=2)
+        base = tiny_config(optim__epochs=1, n_seeds=2)
+        report = run_ablation(base, tmp_path / "abl")
         for cell in report["cells"].values():
             per_seed = [r["metrics"]["flu_err"] for r in cell["per_seed"]]
             assert cell["mean"]["flu_err"] == pytest.approx(np.mean(per_seed))
@@ -306,7 +346,7 @@ class TestAblation:
             return real_train(config, out_dir, resume_from)
 
         monkeypatch.setattr(harness, "train", sometimes_failing)
-        report = harness.run_ablation(tiny_config(optim__epochs=1), tmp_path / "abl", n_seeds=1)
+        report = harness.run_ablation(tiny_config(optim__epochs=1, n_seeds=1), tmp_path / "abl")
         statuses = {k: c["status"] for k, c in report["cells"].items()}
         assert len(statuses) == 8
         failed = [k for k, s in statuses.items() if s == "failed"]
