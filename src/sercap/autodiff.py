@@ -145,6 +145,9 @@ class Tape:
         self._consumed = True
         _accumulate(loss, np.ones_like(loss.data))
         nodes = self._nodes
+        # an op output's first gradient is stored without a copy: only its
+        # own VJP reads it, and no VJP writes into its arguments
+        produced = {id(node[0]) for node in nodes}
         for i in range(len(nodes) - 1, -1, -1):
             out, inputs, vjp = nodes[i]
             nodes[i] = None
@@ -152,7 +155,11 @@ class Tape:
             if g is None:
                 continue
             for inp, gi in zip(inputs, vjp(g)):
-                if gi is not None and inp.requires_grad:
+                if gi is None or not inp.requires_grad:
+                    continue
+                if inp.grad is None and id(inp) in produced:
+                    inp.grad = gi
+                else:
                     _accumulate(inp, gi)
 
 
@@ -282,24 +289,34 @@ def log(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product; supports stacked leading dims on either side.
 
-    A stacked ``(..., d)`` input against a 2-D ``(d, k)`` weight gets its
-    weight gradient from one GEMM over the flattened rows.
+    A stacked ``(..., d)`` input against a 2-D ``(d, k)`` weight runs as
+    one GEMM over the flattened rows, in the forward and for both
+    gradients.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires operands with ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+    flat = b.ndim == 2
+    if flat and a.ndim > 2:
+        x = a.data
+        out = (x.reshape(-1, x.shape[-1]) @ b.data).reshape(x.shape[:-1] + b.data.shape[1:])
+    else:
+        out = np.matmul(a.data, b.data)
 
     def vjp(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            if b.ndim == 2:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
+        if flat:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.data.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g2
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            if b.requires_grad:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
         return ga, gb
 

@@ -282,6 +282,35 @@ class TestLeanBackward:
         np.testing.assert_allclose(w.grad, reference, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(x.grad, np.matmul(upstream, w.data.T))
 
+    def test_flat_product_of_non_contiguous_stacked_input(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.normal(0, 1, (6, 4, 8)), requires_grad=True)
+        w = Tensor(rng.normal(0, 1, (8, 5)), requires_grad=True)
+        upstream = rng.normal(0, 1, (4, 6, 5))
+        with Tape() as tape:
+            out = ad.matmul(x.transpose((1, 0, 2)), w)
+            loss = (out * Tensor(upstream)).sum()
+        tape.backward(loss)
+        xt = np.transpose(x.data, (1, 0, 2))
+        assert out.shape == (4, 6, 5)
+        np.testing.assert_allclose(out.data, np.matmul(xt, w.data), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            x.grad, np.transpose(np.matmul(upstream, w.data.T), (1, 0, 2)), rtol=1e-12, atol=1e-15
+        )
+        reference = ad._unbroadcast(np.matmul(np.swapaxes(xt, -1, -2), upstream), w.shape)
+        np.testing.assert_allclose(w.grad, reference, rtol=1e-12, atol=0)
+
+    def test_leaf_gradient_is_its_own_buffer(self):
+        # add hands the same upstream array to both inputs; the op output h
+        # may keep it, each leaf must get a copy it can scale in place
+        a, b = rand((3, 4), seed=27), rand((3, 4), seed=28)
+        with Tape() as tape:
+            h = a + b
+            loss = (h + a).sum()
+        tape.backward(loss)
+        a.grad *= 0.0
+        np.testing.assert_array_equal(b.grad, np.ones((3, 4)))
+
     def test_only_leaves_keep_gradients(self):
         x = rand((3, 4), seed=23)
         w = rand((4, 2), seed=24)
