@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -447,9 +446,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x), with Phi from ``scipy.special.ndtr``."""
     x = _as_tensor(x)
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    phi_cdf = ndtr(x.data)
     out = x.data * phi_cdf
 
     def vjp(g):

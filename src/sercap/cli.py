@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import ConfigError, apply_settings, parse_config
+from .config import ConfigError, ExperimentConfig, apply_settings, parse_config
 from .data import EventGrammar, dataset_stats, generate_split, load_features, save_captions, save_features
 from .harness import (NanLossError, build_decode_config, decode_split, plot_curves, restore_model,
                       run_ablation, sentence_embedder, train)
@@ -151,16 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sercap")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # defaults come from the config dataclasses, so the CLI cannot drift from them
+    defaults = ExperimentConfig()
+    corpus = defaults.corpus
+
     p = sub.add_parser("synth-data", help="generate the synthetic corpus splits")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grammar-seed", type=int, default=7)
-    p.add_argument("--n-train", type=int, default=512)
-    p.add_argument("--n-val", type=int, default=64)
-    p.add_argument("--n-test", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=2.0)
-    p.add_argument("--frames", type=int, default=31)
-    p.add_argument("--d-enc", type=int, default=64)
+    p.add_argument("--seed", type=int, default=corpus.seed)
+    p.add_argument("--grammar-seed", type=int, default=corpus.grammar_seed)
+    p.add_argument("--n-train", type=int, default=corpus.n_train)
+    p.add_argument("--n-val", type=int, default=corpus.n_val)
+    p.add_argument("--n-test", type=int, default=corpus.n_test)
+    p.add_argument("--noise-sigma", type=float, default=corpus.noise_sigma)
+    p.add_argument("--frames", type=int, default=corpus.frames)
+    p.add_argument("--d-enc", type=int, default=defaults.model.d_enc)
     p.set_defaults(func=_cmd_synth_data)
 
     p = sub.add_parser("train", help="train one run from a config file")
@@ -182,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--spice-scores")
-    p.add_argument("--vocab-size", type=int, default=512)
-    p.add_argument("--d-sent", type=int, default=768)
-    p.add_argument("--encoder-seed", type=int, default=9001)
+    p.add_argument("--vocab-size", type=int, default=defaults.subword_vocab_size)
+    p.add_argument("--d-sent", type=int, default=defaults.model.d_sent)
+    p.add_argument("--encoder-seed", type=int, default=defaults.model.sent_seed)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run the tokenizer x lambda x wd grid")

@@ -1,11 +1,17 @@
 """Constrained caption generation.
 
-Beam search over ``model.step_logits`` with three hard constraints: a
-minimum and maximum emitted length, and a ban on repeating any
-non-stopword token.  Scores are raw log-probability sums (no length
-normalization); ties break lexicographically on token ids so decoding
-is fully deterministic.  ``exhaustive_search`` enumerates every
-mask-legal sequence and serves as the test oracle.
+Beam search with three hard constraints: a minimum and maximum emitted
+length, and a ban on repeating any non-stopword token.  Scores are raw
+log-probability sums (no length normalization); ties break
+lexicographically on token ids so decoding is fully deterministic.
+
+``decode_corpus`` searches every clip in lockstep through one
+incremental decoder state (``model.decoder_state``): each step feeds
+only the newest token of every live hypothesis, with the row it extends
+and its clip, and the state keeps each layer's attention keys and
+values.  ``exhaustive_search`` enumerates every mask-legal sequence
+through the full-prefix ``model.step_logits`` and serves as the
+independent test oracle.
 """
 from __future__ import annotations
 
@@ -80,7 +86,8 @@ def _advance(live, logprobs, cfg, vocab, finished):
 
     Every legal eos continuation is set aside into the finished pool;
     the surviving live set is the top ``beam_size`` non-eos candidates
-    (ties: earlier hypothesis, then lower token id).
+    (ties: earlier hypothesis, then lower token id).  Returns the
+    survivors and, for each, the index of the live hypothesis it extends.
     """
     cands = []
     for hi, h in enumerate(live):
@@ -94,10 +101,9 @@ def _advance(live, logprobs, cfg, vocab, finished):
             else:
                 cands.append((score, hi, tok))
     cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-    return [
-        BeamHypothesis(live[hi].tokens + [tok], score, False)
-        for score, hi, tok in cands[: cfg.beam_size]
-    ]
+    kept = cands[: cfg.beam_size]
+    survivors = [BeamHypothesis(live[hi].tokens + [tok], score, False) for score, hi, tok in kept]
+    return survivors, [hi for _, hi, _ in kept]
 
 
 def _best(finished) -> BeamHypothesis:
@@ -128,39 +134,39 @@ def greedy_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary) -> BeamHy
 
 
 def decode_corpus(memories, model, cfg: DecodeConfig, vocab: Vocabulary) -> list[BeamHypothesis]:
-    """Beam-search every clip in lockstep, batching the model calls.
+    """Beam-search every clip in lockstep through one decoder state.
 
     All live hypotheses share the same prefix length at each step, so
-    one ``step_logits_batch`` call serves every clip.
+    one ``state.step`` call feeds every clip's newest tokens; each row
+    names the row of the previous step it extends and the clip it
+    belongs to.
     """
     memories = [np.asarray(m) for m in memories]
     if any(m.shape != memories[0].shape for m in memories):
         raise ValueError("decode_corpus requires equal-shape memories")
     n = len(memories)
+    if n == 0:
+        return []
+    state = model.decoder_state(np.stack(memories))
     live: list[list[BeamHypothesis]] = [[BeamHypothesis([BOS_ID], 0.0, False)] for _ in range(n)]
     finished: list[list[BeamHypothesis]] = [[] for _ in range(n)]
-    while True:
-        batch_prefix, batch_mem, owners = [], [], []
-        for ci in range(n):
-            if _should_stop(live[ci], finished[ci]):
-                live[ci] = []
-                continue
-            for h in live[ci]:
-                batch_prefix.append(h.tokens)
-                batch_mem.append(memories[ci])
-                owners.append(ci)
-        if not batch_prefix:
-            break
-        logits = model.step_logits_batch(
-            np.stack(batch_mem), np.array(batch_prefix, dtype=np.int64)
-        )
-        logprobs = _log_probs(logits)
+    # the first step starts each clip's empty prefix with bos
+    tokens, parents, clips = [BOS_ID] * n, list(range(n)), list(range(n))
+    while tokens:
+        logprobs = _log_probs(state.step(tokens, parents, clips))
+        tokens, parents, clips = [], [], []
         row = 0
         for ci in range(n):
             k = len(live[ci])
             if k == 0:
                 continue
-            live[ci] = _advance(live[ci], logprobs[row : row + k], cfg, vocab, finished[ci])
+            live[ci], picked = _advance(live[ci], logprobs[row : row + k], cfg, vocab, finished[ci])
+            if _should_stop(live[ci], finished[ci]):
+                live[ci] = []
+            for h, hi in zip(live[ci], picked):
+                tokens.append(h.tokens[-1])
+                parents.append(row + hi)
+                clips.append(ci)
             row += k
     return [_best(f) for f in finished]
 

@@ -5,7 +5,9 @@ runs a post-LN transformer decoder (causal self-attention over previous
 tokens, cross-attention over the feature sequence, GELU feed-forward),
 and exposes two heads: a token classifier producing logits and a linear
 projection of the decoder output embeddings into the sentence-embedding
-space used by the regression loss.
+space used by the regression loss.  ``DecoderState`` runs the same
+eval-mode decoder one position at a time for beam search, caching each
+layer's attention keys and values.
 
 The sentence encoder stands in for a pretrained sentence embedder: a
 token-embedding table plus a small transformer encoder body with mean
@@ -250,21 +252,28 @@ class CaptionerModel:
             return DecoderOutput(x.reshape(*x.shape[1:]), logits.reshape(*logits.shape[1:]))
         return DecoderOutput(x, logits)
 
-    def _layer(self, i, x, memory, causal, p, training, rng) -> Tensor:
+    def _layer(self, i, x, memory, causal, p, training, rng, state=None) -> Tensor:
+        """One post-LN decoder block.
+
+        With a ``DecoderState``, ``x`` holds only each row's newest
+        position: its self-attention keys and values join the state's
+        cache, and cross-attention reads the state's per-clip projections
+        instead of projecting ``memory``.
+        """
         pp = self.params
         h = self.config.heads
 
         q = _split_heads(_linear(x, pp[f"dec{i}.self.Wq"], pp[f"dec{i}.self.bq"]), h)
-        k = _split_heads(_linear(x, pp[f"dec{i}.self.Wk"], pp[f"dec{i}.self.bk"]), h)
-        v = _split_heads(_linear(x, pp[f"dec{i}.self.Wv"], pp[f"dec{i}.self.bv"]), h)
+        k, v = self._kv(i, "self", x)
+        if state is not None:
+            k, v = state._extend_self(i, k, v)
         sa = _merge_heads(_attention(q, k, v, causal, p, training, rng))
         sa = _linear(sa, pp[f"dec{i}.self.Wo"], pp[f"dec{i}.self.bo"])
         x = ad.layer_norm(x + ad.dropout(sa, p, training, rng),
                           pp[f"dec{i}.ln1.gamma"], pp[f"dec{i}.ln1.beta"])
 
         q = _split_heads(_linear(x, pp[f"dec{i}.cross.Wq"], pp[f"dec{i}.cross.bq"]), h)
-        k = _split_heads(_linear(memory, pp[f"dec{i}.cross.Wk"], pp[f"dec{i}.cross.bk"]), h)
-        v = _split_heads(_linear(memory, pp[f"dec{i}.cross.Wv"], pp[f"dec{i}.cross.bv"]), h)
+        k, v = self._kv(i, "cross", memory) if state is None else state._cross_rows[i]
         ca = _merge_heads(_attention(q, k, v, None, p, training, rng))
         ca = _linear(ca, pp[f"dec{i}.cross.Wo"], pp[f"dec{i}.cross.bo"])
         x = ad.layer_norm(x + ad.dropout(ca, p, training, rng),
@@ -276,6 +285,18 @@ class CaptionerModel:
         return ad.layer_norm(x + ad.dropout(ff, p, training, rng),
                              pp[f"dec{i}.ln3.gamma"], pp[f"dec{i}.ln3.beta"])
 
+    def _kv(self, i, blk: str, src: Tensor) -> tuple[Tensor, Tensor]:
+        """Split-head keys and values of layer ``i``'s ``blk`` attention."""
+        pp = self.params
+        h = self.config.heads
+        k = _split_heads(_linear(src, pp[f"dec{i}.{blk}.Wk"], pp[f"dec{i}.{blk}.bk"]), h)
+        v = _split_heads(_linear(src, pp[f"dec{i}.{blk}.Wv"], pp[f"dec{i}.{blk}.bv"]), h)
+        return k, v
+
+    def decoder_state(self, memories) -> "DecoderState":
+        """An incremental decoding state over (n, T, d_model) memories."""
+        return DecoderState(self, memories)
+
     def step_logits(self, memory, prefix) -> np.ndarray:
         """Next-token logits for one bos-framed prefix, dropout disabled."""
         out = self.decode_teacher_forced(memory, np.asarray(prefix), training=False)
@@ -284,8 +305,9 @@ class CaptionerModel:
     def step_logits_batch(self, memories, prefixes) -> np.ndarray:
         """Next-token logits for equal-length prefixes, one row each.
 
-        ``memories`` is (n, T, d_model) aligned with ``prefixes`` (n, L);
-        used by the batched beam-search driver.
+        ``memories`` is (n, T, d_model) aligned with ``prefixes`` (n, L).
+        Each call reruns the whole prefixes; beam search feeds one token
+        per step through ``decoder_state`` instead.
         """
         out = self.decode_teacher_forced(memories, prefixes, training=False)
         return out.logits.data[:, -1, :]
@@ -293,6 +315,78 @@ class CaptionerModel:
     def ser_project(self, token_embeddings: Tensor) -> Tensor:
         """Map decoder output embeddings into the sentence-embedding space."""
         return _linear(token_embeddings, self.params["ser.W"], self.params["ser.b"])
+
+
+class DecoderState:
+    """Incremental (KV-cached) decoding over a batch of clips.
+
+    Built once from the stacked projected memories, it holds per layer
+    the cross-attention keys and values, projected once per clip, and
+    the self-attention keys and values of every position fed so far.
+    Each ``step`` feeds one token per live row, so it costs one position
+    through every layer however long the prefixes are.  The forward is
+    the eval-mode decoder with dropout off, the same function as
+    ``decode_teacher_forced``.  The design follows fairseq's
+    ``incremental_state`` (Ott et al., 2019).
+    """
+
+    def __init__(self, model: CaptionerModel, memories):
+        memory = memories if isinstance(memories, Tensor) else Tensor(memories)
+        if memory.ndim != 3:
+            raise ValueError(f"decoder state needs (n, T, d_model) memories, got {memory.shape}")
+        self.model = model
+        self.position = 0
+        layers = range(model.config.decoder_layers)
+        self._cross_kv = [tuple(t.data for t in model._kv(i, "cross", memory)) for i in layers]
+        n, h = memory.shape[0], model.config.heads
+        empty = np.zeros((n, h, 0, model.config.d_model // h))
+        self._self_kv = [(empty, empty) for _ in layers]
+        self._parents = self._clips = None
+        self._cross_rows: list[tuple[Tensor, Tensor]] = []
+
+    def step(self, tokens, parents, clips) -> np.ndarray:
+        """Next-token logits, one row per fed token.
+
+        Row r appends ``tokens[r]`` to row ``parents[r]`` of the previous
+        step; at the first step, ``parents[r]`` names the clip whose empty
+        prefix it starts, and the token must be bos.  ``clips[r]`` is the
+        clip whose memory row r attends to.  A parent may be reordered or
+        repeated, as beam search does.
+        """
+        model = self.model
+        tokens = np.asarray(tokens, dtype=np.int64)
+        parents = np.asarray(parents, dtype=np.int64)
+        clips = np.asarray(clips, dtype=np.int64)
+        if tokens.ndim != 1 or not tokens.shape == parents.shape == clips.shape:
+            raise ValueError("tokens, parents and clips must be equal-length 1-D sequences")
+        length = self.position + 1
+        if length > model.config.max_len + 1:
+            raise ValueError(f"sequence length {length} exceeds max_len+1")
+        if self.position == 0 and not np.all(tokens == BOS_ID):
+            raise ValueError("teacher-forced input must start with bos")
+        self._parents = parents
+        # rows keep their clips from step to step until a clip stops, so
+        # the per-row gather of the cross-attention keys and values is
+        # redone only when the row-to-clip map changes
+        if self._clips is None or not np.array_equal(clips, self._clips):
+            self._clips = clips
+            self._cross_rows = [(Tensor(k[clips]), Tensor(v[clips])) for k, v in self._cross_kv]
+
+        d = model.config.d_model
+        x = ad.embedding_lookup(model.params["embed.table"], tokens[:, None]) * np.sqrt(d)
+        x = x + Tensor(model._posenc[self.position : length])
+        for i in range(model.config.decoder_layers):
+            x = model._layer(i, x, None, None, 0.0, False, None, state=self)
+        self.position = length
+        logits = _linear(x, model.params["classifier.W"], model.params["classifier.b"])
+        return logits.data[:, 0, :]
+
+    def _extend_self(self, i, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        past_k, past_v = self._self_kv[i]
+        k = np.concatenate([past_k[self._parents], k.data], axis=2)
+        v = np.concatenate([past_v[self._parents], v.data], axis=2)
+        self._self_kv[i] = (k, v)
+        return Tensor(k), Tensor(v)
 
 
 class SentenceEncoder:

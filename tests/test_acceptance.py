@@ -331,8 +331,22 @@ class _ToyModel:
         rng = np.random.default_rng([self.seed] + [int(t) for t in prefix])
         return rng.normal(0.0, 2.0, self.vocab_size)
 
-    def step_logits_batch(self, memory, prefixes):
-        return np.stack([self.step_logits(memory, p) for p in prefixes])
+    def decoder_state(self, memories):
+        return _PrefixReplayState(self, memories)
+
+
+class _PrefixReplayState:
+    """Each row keeps its whole prefix and replays it through the toy's
+    ``step_logits``."""
+
+    def __init__(self, model, memories):
+        self.model, self.memories = model, memories
+        self.prefixes = [[] for _ in memories]
+
+    def step(self, tokens, parents, clips):
+        self.prefixes = [self.prefixes[p] + [int(t)] for t, p in zip(tokens, parents)]
+        return np.stack([self.model.step_logits(self.memories[c], prefix)
+                         for c, prefix in zip(clips, self.prefixes)])
 
 
 def test_acceptance_beam_search_oracle():

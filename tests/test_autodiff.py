@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf, ndtr
 
 from sercap import autodiff as ad
 from sercap.autodiff import Tape, Tensor
@@ -107,6 +108,15 @@ class TestGelu:
     def test_grad_check(self):
         x = rand((4, 3), seed=8)
         assert ad.grad_check(lambda a: ad.gelu(a).sum(), [x]).passed
+
+    def test_ndtr_matches_erf_form(self):
+        # the forward takes Phi from ndtr; the textbook erf form differs
+        # from it only in rounding
+        x = np.random.default_rng(9).normal(0.0, 3.0, 20000)
+        erf_phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        assert np.abs(ndtr(x) - erf_phi).max() <= 4.5e-16
+        out = ad.gelu(Tensor(x)).data
+        assert (np.abs(out - x * erf_phi) / np.maximum(1.0, np.abs(x))).max() <= 1e-15
 
 
 class TestEmbedding:

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sercap.cli import main
+from sercap.cli import build_parser, main
+from sercap.config import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 from sercap.harness import CurveRow, write_curve
@@ -48,6 +49,21 @@ class TestSynthData:
         assert (n, t, d) == (6, 31, 8)
         stats = json.loads((tmp_path / "data" / "stats.json").read_text())
         assert stats["train"]["n_clips"] == 6
+
+
+class TestParserDefaults:
+    def test_defaults_equal_config_defaults(self):
+        cfg = ExperimentConfig()
+        c = cfg.corpus
+        parser = build_parser()
+        synth = parser.parse_args(["synth-data", "--out", "x"])
+        assert (synth.seed, synth.grammar_seed, synth.n_train, synth.n_val, synth.n_test,
+                synth.noise_sigma, synth.frames, synth.d_enc) == \
+            (c.seed, c.grammar_seed, c.n_train, c.n_val, c.n_test, c.noise_sigma, c.frames,
+             cfg.model.d_enc)
+        ev = parser.parse_args(["evaluate", "--candidates", "c", "--references", "r", "--out", "o"])
+        assert (ev.vocab_size, ev.d_sent, ev.encoder_seed) == \
+            (cfg.subword_vocab_size, cfg.model.d_sent, cfg.model.sent_seed)
 
 
 class TestTrainDecode:

@@ -18,7 +18,26 @@ def toy_vocab(content=("dog", "cat", "man"), stop=("a", "the")):
     return Vocabulary(kind="word", id_to_token=list(SPECIAL_TOKENS) + list(stop) + list(content))
 
 
-class RandomToyModel:
+class PrefixReplayState:
+    """Decoder state for the toy models: each row keeps its whole prefix
+    and replays it through the toy's own ``step_logits``."""
+
+    def __init__(self, model, memories):
+        self.model, self.memories = model, memories
+        self.prefixes = [[] for _ in memories]
+
+    def step(self, tokens, parents, clips) -> np.ndarray:
+        self.prefixes = [self.prefixes[p] + [int(t)] for t, p in zip(tokens, parents)]
+        return np.stack([self.model.step_logits(self.memories[c], prefix)
+                         for c, prefix in zip(clips, self.prefixes)])
+
+
+class ToyModel:
+    def decoder_state(self, memories):
+        return PrefixReplayState(self, memories)
+
+
+class RandomToyModel(ToyModel):
     """Deterministic pseudo-random next-token logits keyed on the prefix."""
 
     def __init__(self, vocab_size: int, seed: int):
@@ -29,11 +48,8 @@ class RandomToyModel:
         rng = np.random.default_rng([self.seed] + [int(t) for t in prefix])
         return rng.normal(0, 2.0, self.vocab_size)
 
-    def step_logits_batch(self, memory, prefixes) -> np.ndarray:
-        return np.stack([self.step_logits(memory, p) for p in prefixes])
 
-
-class ForcedTokenModel:
+class ForcedTokenModel(ToyModel):
     """Puts nearly all probability mass on one token, eos second."""
 
     def __init__(self, vocab_size: int, favorite: int):
@@ -45,9 +61,6 @@ class ForcedTokenModel:
         logits[self.favorite] = 5.0
         logits[EOS_ID] = 2.0
         return logits
-
-    def step_logits_batch(self, memory, prefixes) -> np.ndarray:
-        return np.stack([self.step_logits(memory, p) for p in prefixes])
 
 
 def small_cfg(vocab, **kw):
@@ -171,15 +184,12 @@ class TestExhaustive:
 
     def test_tie_breaks_lexicographic(self):
         # uniform logits: every same-length sequence ties; want smallest ids
-        class UniformModel:
+        class UniformModel(ToyModel):
             def __init__(self, n):
                 self.n = n
 
             def step_logits(self, memory, prefix):
                 return np.zeros(self.n)
-
-            def step_logits_batch(self, memory, prefixes):
-                return np.zeros((len(prefixes), self.n))
 
         v = toy_vocab()
         cfg = small_cfg(v, min_len=1, max_len=2, beam_size=64)
@@ -212,6 +222,45 @@ class TestDecodeCorpus:
         for mem, hyp in zip(memories, batch):
             solo = beam_search(mem, model, cfg, v)
             assert solo.tokens == hyp.tokens
+
+    def test_cached_state_matches_full_prefix_replay(self):
+        from sercap.model import CaptionerModel, ModelConfig
+
+        v = toy_vocab(content=("dog", "cat", "man", "rain", "wind", "bird", "car", "bell"))
+        cfg_m = ModelConfig(vocab_size=v.size, d_model=8, decoder_layers=2, heads=2,
+                            d_ff=16, dropout=0.0, d_enc=4, d_sent=8, max_len=8,
+                            sent_heads=2)
+        model = CaptionerModel(cfg_m, seed=5)
+        model.eval_mode()
+        rng = np.random.default_rng(6)
+        memories = [model.encode_project(rng.normal(0, 1, (3, 4))).data for _ in range(5)]
+        cfg = small_cfg(v, beam_size=3, min_len=5, max_len=7)
+
+        seen_parents = []
+        make_state = model.decoder_state
+
+        class RecordingState:
+            def __init__(self, mems):
+                self.inner = make_state(mems)
+
+            def step(self, tokens, parents, clips):
+                seen_parents.append(list(parents))
+                return self.inner.step(tokens, parents, clips)
+
+        model.decoder_state = RecordingState
+        cached = decode_corpus(memories, model, cfg, v)
+        # past the first two steps, beams were really reordered and duplicated
+        assert any(p != sorted(p) for p in seen_parents[2:])
+        assert any(len(set(p)) < len(p) for p in seen_parents[2:])
+
+        class FullPrefix(ToyModel):
+            def step_logits(self, memory, prefix):
+                return model.step_logits(memory, np.array(prefix))
+
+        replay = decode_corpus(memories, FullPrefix(), cfg, v)
+        for a, b in zip(cached, replay):
+            assert a.tokens == b.tokens
+            assert a.log_prob == pytest.approx(b.log_prob, rel=0, abs=1e-10)
 
     def test_rejects_unequal_memories(self):
         v = toy_vocab()

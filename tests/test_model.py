@@ -222,6 +222,62 @@ class TestStepLogits:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+class TestDecoderState:
+    @staticmethod
+    def memories(model, n, seed):
+        rng = np.random.default_rng(seed)
+        return model.encode_project(np.stack([features(rng) for _ in range(n)])).data
+
+    def test_matches_last_teacher_forced_row_at_every_position(self, model):
+        mems = self.memories(model, 3, 20)
+        rng = np.random.default_rng(21)
+        L = model.config.max_len + 1
+        prefixes = np.concatenate([np.full((3, 1), BOS_ID), rng.integers(3, 7, (3, L - 1))], axis=1)
+        state = model.decoder_state(mems)
+        rows = np.arange(3)
+        for t in range(L):
+            got = state.step(prefixes[:, t], rows, rows)
+            full = model.decode_teacher_forced(mems, prefixes[:, : t + 1], training=False)
+            np.testing.assert_allclose(got, full.logits.data[:, -1], rtol=0, atol=1e-12)
+
+    def test_permuted_and_duplicated_parents(self, model):
+        mems = self.memories(model, 3, 22)
+        state = model.decoder_state(mems)
+        prefixes, clips = [[BOS_ID]] * 3, [0, 1, 2]
+        state.step([BOS_ID] * 3, [0, 1, 2], clips)
+        # each step: (tokens, parents); later steps reorder and repeat rows
+        steps = [([4, 5, 6], [0, 1, 2]),
+                 ([3, 4, 5, 6], [2, 0, 0, 1]),
+                 ([6, 6, 4, 5, 3], [3, 1, 0, 2, 2]),
+                 ([5, 4], [4, 0])]
+        for tokens, parents in steps:
+            prefixes = [prefixes[p] + [t] for t, p in zip(tokens, parents)]
+            clips = [clips[p] for p in parents]
+            got = state.step(tokens, parents, clips)
+            full = model.decode_teacher_forced(mems[clips], np.array(prefixes), training=False)
+            np.testing.assert_allclose(got, full.logits.data[:, -1], rtol=0, atol=1e-12)
+
+    def test_dropout_disabled_even_in_train_mode(self):
+        m = CaptionerModel(tiny_config(dropout=0.5), seed=1)
+        m.train_mode()
+        mem = m.encode_project(np.zeros((1, 2, 5))).data
+        got = [m.decoder_state(mem).step([BOS_ID], [0], [0]) for _ in range(2)]
+        np.testing.assert_array_equal(got[0], got[1])
+        np.testing.assert_allclose(got[0][0], m.step_logits(mem[0], [BOS_ID]), rtol=0, atol=1e-12)
+
+    def test_over_length_rejected_like_teacher_forced(self, model):
+        state = model.decoder_state(self.memories(model, 1, 23))
+        for _ in range(model.config.max_len + 1):
+            state.step([BOS_ID if state.position == 0 else 4], [0], [0])
+        with pytest.raises(ValueError, match="exceeds max_len"):
+            state.step([4], [0], [0])
+
+    def test_first_token_must_be_bos(self, model):
+        state = model.decoder_state(self.memories(model, 2, 24))
+        with pytest.raises(ValueError, match="bos"):
+            state.step([BOS_ID, 4], [0, 1], [0, 1])
+
+
 class TestSerProject:
     def test_zero_input_bias_rows(self, model):
         model.params["ser.b"].data[:] = np.arange(12.0)
