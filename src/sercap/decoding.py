@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blas import single_threaded
 from .text import BOS_ID, EOS_ID, PAD_ID, Vocabulary, load_stopwords
 
 
@@ -139,7 +140,7 @@ def decode_corpus(memories, model, cfg: DecodeConfig, vocab: Vocabulary) -> list
     All live hypotheses share the same prefix length at each step, so
     one ``state.step`` call feeds every clip's newest tokens; each row
     names the row of the previous step it extends and the clip it
-    belongs to.
+    belongs to.  The search runs with BLAS on one thread (``blas``).
     """
     memories = [np.asarray(m) for m in memories]
     if any(m.shape != memories[0].shape for m in memories):
@@ -147,7 +148,15 @@ def decode_corpus(memories, model, cfg: DecodeConfig, vocab: Vocabulary) -> list
     n = len(memories)
     if n == 0:
         return []
-    state = model.decoder_state(np.stack(memories))
+    # a step's products are a few rows each: one BLAS thread keeps them
+    # from stalling on a second thread whenever the other CPU is busy
+    with single_threaded():
+        return _search(np.stack(memories), model, cfg, vocab)
+
+
+def _search(memories, model, cfg, vocab) -> list[BeamHypothesis]:
+    n = len(memories)
+    state = model.decoder_state(memories)
     live: list[list[BeamHypothesis]] = [[BeamHypothesis([BOS_ID], 0.0, False)] for _ in range(n)]
     finished: list[list[BeamHypothesis]] = [[] for _ in range(n)]
     # the first step starts each clip's empty prefix with bos

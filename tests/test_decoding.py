@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sercap import decoding
+from sercap import blas, decoding
 from sercap.decoding import (
     BeamHypothesis,
     DecodeConfig,
@@ -204,6 +204,20 @@ class TestExhaustive:
 
 
 class TestDecodeCorpus:
+    def test_steps_run_with_one_blas_thread(self):
+        before = blas.thread_counts()
+        seen = []
+
+        class CountingToyModel(RandomToyModel):
+            def step_logits(self, memory, prefix):
+                seen.append(blas.thread_counts())
+                return super().step_logits(memory, prefix)
+
+        v = toy_vocab()
+        decode_corpus([np.zeros((2, 4))] * 3, CountingToyModel(v.size, seed=3), small_cfg(v, beam_size=3), v)
+        assert seen and all(c == [1] * len(before) for c in seen)
+        assert blas.thread_counts() == before
+
     def test_matches_per_clip_beam_search(self):
         from sercap.model import CaptionerModel, ModelConfig
 
