@@ -8,6 +8,14 @@ an eagerly built graph) and accumulates gradients into ``Tensor.grad``.
 A VJP computes an input's gradient only when that input requires one,
 and each node is released as soon as its VJP has run.
 
+A node keeps no Tensor.  It holds its output's gradient cell, one
+gradient target per input (the producer's cell for an op output, the
+Tensor for a leaf that requires a gradient, else None) and the VJP
+closure.  The closure saves only the arrays its formula reads, and only
+for inputs that need a gradient, in the manner of PyTorch's saved
+tensors (Paszke et al., 2019): an activation that no gradient formula
+reads is freed as soon as the forward drops its Tensor.
+
 Broadcasting is supported only where the models need it: bias rows,
 scalar coefficients, and batched matmul with 2-D weights.
 """
@@ -26,14 +34,18 @@ class TapeError(RuntimeError):
 
 
 class Tensor:
-    """A dense float64 array plus an optional same-shape gradient buffer."""
+    """A dense float64 array plus an optional same-shape gradient buffer.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    An op output recorded on a tape also points to its gradient cell.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_cell")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._cell: _Cell | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,6 +117,20 @@ class Tensor:
 _TAPE_STACK: list["Tape"] = []
 
 
+class _Cell:
+    """Gradient slot of one recorded op output.
+
+    ``owner`` is the token of the tape that recorded the op: an op output
+    used under another tape is a leaf there, as it always was.
+    """
+
+    __slots__ = ("grad", "owner")
+
+    def __init__(self, owner: object):
+        self.grad: np.ndarray | None = None
+        self.owner = owner
+
+
 @dataclass
 class Tape:
     """Ordered record of primitive ops for one forward pass.
@@ -115,6 +141,7 @@ class Tape:
 
     _nodes: list = field(default_factory=list)
     _consumed: bool = False
+    _token: object = field(default_factory=object, repr=False)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -129,37 +156,45 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate grads of every reachable requires_grad leaf.
 
-        Only leaves (parameters and user inputs) keep a ``grad``: an op
-        output's gradient is dropped once its VJP has run, and that node's
-        slot is cleared so its saved activations can be freed; ``len()``
-        still counts the recorded nodes.  No gradient is computed for an
-        input without ``requires_grad`` (a frozen weight, a constant
-        mask).  Gradients accumulate into existing ``grad`` buffers until
-        explicitly zeroed, so parameter gradients survive across tapes.
+        A node is ``(cell, targets, vjp)``: the gradient cell of its
+        output, one target per input (an op output's cell, a leaf Tensor
+        that requires a gradient, or None), and a VJP closure holding
+        only the arrays its formula reads.  Only leaves (parameters and
+        user inputs) keep a ``grad``: an op output's gradient lives in its
+        cell and is dropped once its VJP has run, and that node's slot is
+        cleared so its saved arrays can be freed; ``len()`` still counts
+        the recorded nodes.  No gradient is computed for an input without
+        ``requires_grad`` (a frozen weight, a constant mask).  Gradients
+        accumulate into existing ``grad`` buffers until explicitly zeroed,
+        so parameter gradients survive across tapes.
         """
         if self._consumed:
             raise TapeError("tape already consumed; rebuild the forward pass")
         if loss.data.size != 1:
             raise TapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
-        _accumulate(loss, np.ones_like(loss.data))
+        seed = np.ones_like(loss.data)
+        if loss._cell is not None and loss._cell.owner is self._token:
+            loss._cell.grad = seed
+        else:
+            _accumulate(loss, seed)
         nodes = self._nodes
-        # an op output's first gradient is stored without a copy: only its
-        # own VJP reads it, and no VJP writes into its arguments
-        produced = {id(node[0]) for node in nodes}
         for i in range(len(nodes) - 1, -1, -1):
-            out, inputs, vjp = nodes[i]
+            cell, targets, vjp = nodes[i]
             nodes[i] = None
-            g, out.grad = out.grad, None
+            g, cell.grad = cell.grad, None
             if g is None:
                 continue
-            for inp, gi in zip(inputs, vjp(g)):
-                if gi is None or not inp.requires_grad:
+            for target, gi in zip(targets, vjp(g)):
+                if gi is None or target is None:
                     continue
-                if inp.grad is None and id(inp) in produced:
-                    inp.grad = gi
+                if type(target) is _Cell:
+                    # an op output's first gradient is stored without a
+                    # copy: only its own VJP reads it, and no VJP writes
+                    # into its arguments
+                    target.grad = gi if target.grad is None else target.grad + gi
                 else:
-                    _accumulate(inp, gi)
+                    _accumulate(target, gi)
 
 
 def _active_tape() -> Tape | None:
@@ -178,12 +213,25 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op result, recording it when a tape is active."""
+    """Wrap an op result, recording it when a tape is active.
+
+    ``vjp`` must not hold the input Tensors: the node records each
+    input's gradient target instead, so an input array lives on only if
+    the closure saved it.
+    """
+    out = Tensor(data)
     tape = _active_tape()
-    requires = tape is not None and any(i.requires_grad for i in inputs)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        tape._nodes.append((out, inputs, vjp))
+    if tape is None:
+        return out
+    token = tape._token
+    targets = tuple(
+        t._cell if t._cell is not None and t._cell.owner is token else t if t.requires_grad else None
+        for t in inputs
+    )
+    if any(target is not None for target in targets):
+        out.requires_grad = True
+        out._cell = _Cell(token)
+        tape._nodes.append((out._cell, targets, vjp))
     return out
 
 
@@ -202,59 +250,72 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # primitive ops
+#
+# A VJP closure reads only shapes, flags and the arrays it saved; it must
+# never refer to an input Tensor, which would keep that input's array alive
+# until the backward sweep.
 # ---------------------------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
+    ra, rb = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g, sa) if ra else None,
+            _unbroadcast(g, sb) if rb else None,
         )
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
+    ra, rb = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g, sa) if ra else None,
+            _unbroadcast(-g, sb) if rb else None,
         )
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    ra, rb = a.requires_grad, b.requires_grad
+    # each operand's gradient reads only the other operand
+    xa = a.data if rb else None
+    xb = b.data if ra else None
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g * xb, sa) if ra else None,
+            _unbroadcast(g * xa, sb) if rb else None,
         )
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data * b.data, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
+    sa, sb = a.data.shape, b.data.shape
+    ra, rb = a.requires_grad, b.requires_grad
+    xa = a.data if rb else None
+    xb = b.data
 
     def vjp(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g / xb, sa) if ra else None,
+            _unbroadcast(-g * xa / (xb * xb), sb) if rb else None,
         )
 
-    return _make(out, (a, b), vjp)
+    return _make(a.data / xb, (a, b), vjp)
 
 
 def neg(a) -> Tensor:
@@ -282,7 +343,23 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _make(np.log(x), (a,), lambda g: (g / x,))
+
+
+def _flat_product_vjp(x2, w, x_shape, rx: bool, rw: bool):
+    """VJP of ``x2 @ w`` for rows ``x2`` flattened from an ``x_shape`` input.
+
+    The caller saves ``w`` only when ``rx`` and ``x2`` only when ``rw``.
+    """
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ w.T).reshape(x_shape) if rx else None
+        gw = x2.T @ g2 if rw else None
+        return gx, gw
+
+    return vjp
 
 
 def matmul(a, b) -> Tensor:
@@ -297,29 +374,50 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul requires operands with ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree {a.shape} @ {b.shape}")
-    flat = b.ndim == 2
-    if flat and a.ndim > 2:
-        x = a.data
-        out = (x.reshape(-1, x.shape[-1]) @ b.data).reshape(x.shape[:-1] + b.data.shape[1:])
-    else:
-        out = np.matmul(a.data, b.data)
+    x, w = a.data, b.data
+    ra, rb = a.requires_grad, b.requires_grad
+    if b.ndim == 2:
+        x2 = x.reshape(-1, x.shape[-1])
+        out = x2 @ w if x.ndim == 2 else (x2 @ w).reshape(x.shape[:-1] + w.shape[1:])
+        vjp = _flat_product_vjp(x2 if rb else None, w if ra else None, x.shape, ra, rb)
+        return _make(out, (a, b), vjp)
 
-    def vjp(g):
-        ga = gb = None
-        if flat:
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                ga = (g2 @ b.data.T).reshape(a.data.shape)
-            if b.requires_grad:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g2
-        else:
-            if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-            if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+    sa, sb = x.shape, w.shape
+    xa = x if rb else None
+    xb = w if ra else None
+
+    def batched_vjp(g):
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(xb, -1, -2)), sa) if ra else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(xa, -1, -2), g), sb) if rb else None
         return ga, gb
 
-    return _make(out, (a, b), vjp)
+    return _make(np.matmul(x, w), (a, b), batched_vjp)
+
+
+def linear(x, w, b) -> Tensor:
+    """``matmul(x, w) + b`` as one node, for a 2-D weight and a bias row.
+
+    The bias is added in place into the flat GEMM output, so the product
+    is never a separate array; forward and gradients equal the two-op
+    form bit for bit.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2:
+        raise ValueError("linear requires an input with ndim >= 2 and a 2-D weight")
+    if x.shape[-1] != w.shape[0]:
+        raise ValueError(f"linear: inner dimensions disagree {x.shape} @ {w.shape}")
+    xd = x.data
+    x2 = xd.reshape(-1, xd.shape[-1])
+    out = x2 @ w.data
+    out += b.data
+    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
+    product_vjp = _flat_product_vjp(x2 if rw else None, w.data if rx else None, xd.shape, rx, rw)
+    sb = b.data.shape
+
+    def vjp(g):
+        return (*product_vjp(g), _unbroadcast(g, sb) if rb else None)
+
+    return _make(out.reshape(xd.shape[:-1] + w.data.shape[1:]), (x, w, b), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -425,16 +523,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gamma.data * xhat + beta.data
+    rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    scale = gamma.data if rx else None
 
     def vjp(g):
         reduce_axes = tuple(range(g.ndim - 1))
         dx = dgamma = dbeta = None
-        if gamma.requires_grad:
+        if rg:
             dgamma = (g * xhat).sum(axis=reduce_axes) if g.ndim > 1 else g * xhat
-        if beta.requires_grad:
+        if rb:
             dbeta = g.sum(axis=reduce_axes) if g.ndim > 1 else g
-        if x.requires_grad:
-            dxhat = g * gamma.data
+        if rx:
+            dxhat = g * scale
             dx = inv * (
                 dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
@@ -448,56 +548,60 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def gelu(x) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x), with Phi from ``scipy.special.ndtr``."""
     x = _as_tensor(x)
-    phi_cdf = ndtr(x.data)
-    out = x.data * phi_cdf
+    xd = x.data
+    phi_cdf = ndtr(xd)
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (phi_cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        return (g * (phi_cdf + xd * pdf),)
 
-    return _make(out, (x,), vjp)
+    return _make(xd * phi_cdf, (x,), vjp)
 
 
 def embedding_lookup(table, ids) -> Tensor:
     """Row-gather from a (V, d) table; gradient scatter-adds into it."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    v = table.data.shape[0]
+    v, d = table.data.shape
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexError(f"token id out of range for table of size {v}")
-    out = table.data[ids]
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        gt = np.zeros((v, d))
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, d))
         return (gt,)
 
-    return _make(out, (table,), vjp)
+    return _make(table.data[ids], (table,), vjp)
 
 
 def gather_last(x, idx) -> Tensor:
     """Pick one entry along the last axis per leading position."""
     x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
+    idx = np.asarray(idx, dtype=np.int64)[..., None]
+    shape = x.data.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
+        gx = np.zeros(shape)
+        np.put_along_axis(gx, idx, g[..., None], axis=-1)
         return (gx,)
 
-    return _make(out, (x,), vjp)
+    return _make(np.take_along_axis(x.data, idx, axis=-1)[..., 0], (x,), vjp)
 
 
 def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales survivors by 1/(1-p); eval is identity."""
+    """Inverted dropout: scales survivors by 1/(1-p); eval is identity.
+
+    The node keeps a boolean mask, not a float one; ``(x * scale) * mask``
+    equals ``x * (mask / (1 - p))`` bit for bit.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
     if not training or p == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return _make(x.data * keep, (x,), lambda g: (g * keep,))
+    mask = rng.random(x.data.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    return _make((x.data * scale) * mask, (x,), lambda g: ((g * scale) * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +665,8 @@ def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
     """The op table the gradient checks run: name -> (scalar function, inputs).
 
     Inputs are drawn from ``rng``; several ops appear in two shapes or
-    formulations.
+    formulations.  New cases go at the end, so earlier cases keep their
+    draws.
     """
 
     def t(shape, scale=1.0):
@@ -572,6 +677,13 @@ def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
 
     def twice_looked_up(ids):
         return lambda tab: (embedding_lookup(tab, ids) * embedding_lookup(tab, ids)).sum()
+
+    def through_frozen(w_frozen, b_frozen):
+        def f(x, w, b):
+            h = linear(linear(x, w, b), w_frozen, b_frozen)
+            return (h * h).mean()
+
+        return f
 
     return {
         "matmul": (lambda a, b: matmul(a, b).sum(), [t((3, 4)), t((4, 2))]),
@@ -606,4 +718,8 @@ def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
         "gather_2x3": (lambda a: gather_last(a, np.array([1, 0])).sum(), [t((2, 3))]),
         "concat_axis1": (lambda a: concat([a, a * 2.0], axis=1).sum(axis=0).mean(), [t((2, 3))]),
         "reshape_permute_sum": (lambda a: a.transpose((1, 0)).reshape(6).sum(), [t((2, 3))]),
+        "linear": (
+            through_frozen(Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, (2,)))),
+            [t((2, 3, 4)), t((4, 3)), t((3,))],
+        ),
     }

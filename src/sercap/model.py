@@ -128,10 +128,6 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.matmul(x, w) + b
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     b, l, d = x.shape
     return x.reshape(b, l, heads, d // heads).transpose((0, 2, 1, 3))
@@ -213,7 +209,7 @@ class CaptionerModel:
             raise ValueError(
                 f"feature dim {features.shape[-1]} != configured d_enc {self.config.d_enc}"
             )
-        return _linear(features, self.params["enc_proj.W"], self.params["enc_proj.b"])
+        return ad.linear(features, self.params["enc_proj.W"], self.params["enc_proj.b"])
 
     def decode_teacher_forced(self, memory, tokens, rng=None, training=None) -> DecoderOutput:
         """Causal decode of bos-framed previous tokens over a feature memory.
@@ -247,7 +243,7 @@ class CaptionerModel:
 
         for i in range(self.config.decoder_layers):
             x = self._layer(i, x, memory, causal, p, training, rng)
-        logits = _linear(x, self.params["classifier.W"], self.params["classifier.b"])
+        logits = ad.linear(x, self.params["classifier.W"], self.params["classifier.b"])
         if squeeze:
             return DecoderOutput(x.reshape(*x.shape[1:]), logits.reshape(*logits.shape[1:]))
         return DecoderOutput(x, logits)
@@ -263,25 +259,25 @@ class CaptionerModel:
         pp = self.params
         h = self.config.heads
 
-        q = _split_heads(_linear(x, pp[f"dec{i}.self.Wq"], pp[f"dec{i}.self.bq"]), h)
+        q = _split_heads(ad.linear(x, pp[f"dec{i}.self.Wq"], pp[f"dec{i}.self.bq"]), h)
         k, v = self._kv(i, "self", x)
         if state is not None:
             k, v = state._extend_self(i, k, v)
         sa = _merge_heads(_attention(q, k, v, causal, p, training, rng))
-        sa = _linear(sa, pp[f"dec{i}.self.Wo"], pp[f"dec{i}.self.bo"])
+        sa = ad.linear(sa, pp[f"dec{i}.self.Wo"], pp[f"dec{i}.self.bo"])
         x = ad.layer_norm(x + ad.dropout(sa, p, training, rng),
                           pp[f"dec{i}.ln1.gamma"], pp[f"dec{i}.ln1.beta"])
 
-        q = _split_heads(_linear(x, pp[f"dec{i}.cross.Wq"], pp[f"dec{i}.cross.bq"]), h)
+        q = _split_heads(ad.linear(x, pp[f"dec{i}.cross.Wq"], pp[f"dec{i}.cross.bq"]), h)
         k, v = self._kv(i, "cross", memory) if state is None else state._cross_rows[i]
         ca = _merge_heads(_attention(q, k, v, None, p, training, rng))
-        ca = _linear(ca, pp[f"dec{i}.cross.Wo"], pp[f"dec{i}.cross.bo"])
+        ca = ad.linear(ca, pp[f"dec{i}.cross.Wo"], pp[f"dec{i}.cross.bo"])
         x = ad.layer_norm(x + ad.dropout(ca, p, training, rng),
                           pp[f"dec{i}.ln2.gamma"], pp[f"dec{i}.ln2.beta"])
 
-        ff = _linear(x, pp[f"dec{i}.ff.W1"], pp[f"dec{i}.ff.b1"])
+        ff = ad.linear(x, pp[f"dec{i}.ff.W1"], pp[f"dec{i}.ff.b1"])
         ff = ad.dropout(ad.gelu(ff), p, training, rng)
-        ff = _linear(ff, pp[f"dec{i}.ff.W2"], pp[f"dec{i}.ff.b2"])
+        ff = ad.linear(ff, pp[f"dec{i}.ff.W2"], pp[f"dec{i}.ff.b2"])
         return ad.layer_norm(x + ad.dropout(ff, p, training, rng),
                              pp[f"dec{i}.ln3.gamma"], pp[f"dec{i}.ln3.beta"])
 
@@ -289,8 +285,8 @@ class CaptionerModel:
         """Split-head keys and values of layer ``i``'s ``blk`` attention."""
         pp = self.params
         h = self.config.heads
-        k = _split_heads(_linear(src, pp[f"dec{i}.{blk}.Wk"], pp[f"dec{i}.{blk}.bk"]), h)
-        v = _split_heads(_linear(src, pp[f"dec{i}.{blk}.Wv"], pp[f"dec{i}.{blk}.bv"]), h)
+        k = _split_heads(ad.linear(src, pp[f"dec{i}.{blk}.Wk"], pp[f"dec{i}.{blk}.bk"]), h)
+        v = _split_heads(ad.linear(src, pp[f"dec{i}.{blk}.Wv"], pp[f"dec{i}.{blk}.bv"]), h)
         return k, v
 
     def decoder_state(self, memories) -> "DecoderState":
@@ -314,7 +310,7 @@ class CaptionerModel:
 
     def ser_project(self, token_embeddings: Tensor) -> Tensor:
         """Map decoder output embeddings into the sentence-embedding space."""
-        return _linear(token_embeddings, self.params["ser.W"], self.params["ser.b"])
+        return ad.linear(token_embeddings, self.params["ser.W"], self.params["ser.b"])
 
 
 class DecoderState:
@@ -378,7 +374,7 @@ class DecoderState:
         for i in range(model.config.decoder_layers):
             x = model._layer(i, x, None, None, 0.0, False, None, state=self)
         self.position = length
-        logits = _linear(x, model.params["classifier.W"], model.params["classifier.b"])
+        logits = ad.linear(x, model.params["classifier.W"], model.params["classifier.b"])
         return logits.data[:, 0, :]
 
     def _extend_self(self, i, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -455,19 +451,19 @@ class SentenceEncoder:
         x = x + Tensor(self._posenc[:l])
         pp = self.params
         for i in range(self.layers):
-            q = _split_heads(_linear(x, pp[f"enc{i}.Wq"], pp[f"enc{i}.bq"]), self.heads)
-            k = _split_heads(_linear(x, pp[f"enc{i}.Wk"], pp[f"enc{i}.bk"]), self.heads)
-            v = _split_heads(_linear(x, pp[f"enc{i}.Wv"], pp[f"enc{i}.bv"]), self.heads)
+            q = _split_heads(ad.linear(x, pp[f"enc{i}.Wq"], pp[f"enc{i}.bq"]), self.heads)
+            k = _split_heads(ad.linear(x, pp[f"enc{i}.Wk"], pp[f"enc{i}.bk"]), self.heads)
+            v = _split_heads(ad.linear(x, pp[f"enc{i}.Wv"], pp[f"enc{i}.bv"]), self.heads)
             sa = _merge_heads(_attention(q, k, v, attn_mask, 0.0, False, None))
-            sa = _linear(sa, pp[f"enc{i}.Wo"], pp[f"enc{i}.bo"])
+            sa = ad.linear(sa, pp[f"enc{i}.Wo"], pp[f"enc{i}.bo"])
             x = ad.layer_norm(x + sa, pp[f"enc{i}.ln1.gamma"], pp[f"enc{i}.ln1.beta"])
-            ff = _linear(ad.gelu(_linear(x, pp[f"enc{i}.ff.W1"], pp[f"enc{i}.ff.b1"])),
-                         pp[f"enc{i}.ff.W2"], pp[f"enc{i}.ff.b2"])
+            ff = ad.linear(ad.gelu(ad.linear(x, pp[f"enc{i}.ff.W1"], pp[f"enc{i}.ff.b1"])),
+                           pp[f"enc{i}.ff.W2"], pp[f"enc{i}.ff.b2"])
             x = ad.layer_norm(x + ff, pp[f"enc{i}.ln2.gamma"], pp[f"enc{i}.ln2.beta"])
 
         counts = pad_mask.sum(axis=1, keepdims=True)
         pooled = (x * Tensor(pad_mask[:, :, None])).sum(axis=1) * Tensor(1.0 / counts)
-        return _linear(pooled, pp["proj.W"], pp["proj.b"])
+        return ad.linear(pooled, pp["proj.W"], pp["proj.b"])
 
     def embed_tokens(self, tokens, pad_mask=None) -> Tensor:
         """Full path: id lookup through the frozen table, then the body."""

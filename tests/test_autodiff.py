@@ -171,6 +171,20 @@ class TestDropout:
         survivors = out.data[out.data != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75)
 
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.4])
+    def test_boolean_mask_matches_float_mask_formula(self, p):
+        # the float-mask form x * (mask / (1 - p)), from the same draws
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(0, 1, (30, 40)), requires_grad=True)
+        upstream = rng.normal(0, 1, (30, 40))
+        with Tape() as tape:
+            out = ad.dropout(x, p, True, np.random.default_rng(41))
+            loss = (out * Tensor(upstream)).sum()
+        tape.backward(loss)
+        keep = (np.random.default_rng(41).random(x.shape) >= p) / (1.0 - p)
+        assert out.data.tobytes() == (x.data * keep).tobytes()
+        assert x.grad.tobytes() == (upstream * keep).tobytes()
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -240,6 +254,7 @@ def _layer_norm(x, g, b):
 # op, input shapes: broadcast bias rows, a stacked input against a 2-D
 # weight, and per-feature layer-norm parameters
 LEAN_CASES = {
+    "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
     "matmul_2d": (ad.matmul, [(3, 4), (4, 5)]),
     "add": (ad.add, [(2, 3, 4), (4,)]),
@@ -347,6 +362,97 @@ class TestLeanBackward:
         tape.backward(loss)
         assert activation() is None
         assert len(tape) == 4
+
+
+def _matmul_plus_bias(x, w, b):
+    return ad.matmul(x, w) + b
+
+
+class TestSavedArrays:
+    """A node keeps only the arrays its VJP reads."""
+
+    def test_unread_activations_freed_before_backward(self):
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(0, 1, (4, 6)), requires_grad=True)
+        w = Tensor(rng.normal(0, 1, (6, 5)))  # frozen
+        y = Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 2.0, (5,)), requires_grad=True)
+        beta = Tensor(rng.normal(0, 1, (5,)), requires_grad=True)
+        upstream = rng.normal(0, 1, (4, 5))
+        with Tape() as tape:
+            h = ad.matmul(x, w)
+            s = h + y
+            product, summed = weakref.ref(h.data), weakref.ref(s.data)
+            loss = (ad.layer_norm(s, gamma, beta, 1e-5) * Tensor(upstream)).sum()
+        del h, s
+        gc.collect()
+        # a product with a frozen weight saves only the weight; add saves
+        # shapes; layer_norm saves xhat, inv and gamma
+        assert product() is None and summed() is None
+        tape.backward(loss)
+
+        # the same formulas, in numpy
+        s = x.data @ w.data + y.data
+        xc = s - s.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        dxhat = upstream * gamma.data
+        ds = inv * (
+            dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        np.testing.assert_array_equal(y.grad, ds)
+        np.testing.assert_array_equal(x.grad, ds @ w.data.T)
+        np.testing.assert_array_equal(gamma.grad, (upstream * xhat).sum(axis=0))
+        np.testing.assert_array_equal(beta.grad, upstream.sum(axis=0))
+        assert w.grad is None
+
+    def test_tape_holds_no_tensor(self):
+        x = rand((3, 4), seed=31)
+        with Tape() as tape:
+            loss = (ad.gelu(ad.linear(x, rand((4, 2), seed=32), rand((2,), seed=33))) * 2.0).sum()
+        for cell, targets, _ in tape._nodes:
+            assert not isinstance(cell, Tensor)
+            assert all(t is None or not isinstance(t, Tensor) or t._cell is None for t in targets)
+        tape.backward(loss)
+        assert x.grad is not None
+
+    def test_op_output_of_another_tape_is_a_leaf(self):
+        x = rand((2, 3), seed=34)
+        with Tape():
+            h = x * 3.0
+        with Tape() as tape:
+            loss = (h * h).sum()
+        tape.backward(loss)
+        np.testing.assert_array_equal(h.grad, 2.0 * h.data)
+        assert x.grad is None
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (5, 4)])
+    @pytest.mark.parametrize("frozen", [(), (0,), (1,), (2,), (1, 2)])
+    def test_linear_equals_matmul_plus_bias(self, shape, frozen):
+        def run(op):
+            rng = np.random.default_rng(35)
+            shapes = [shape, (4, 6), (6,)]
+            inputs = [Tensor(rng.normal(0, 1, s), requires_grad=i not in frozen) for i, s in enumerate(shapes)]
+            upstream = rng.normal(0, 1, shape[:-1] + (6,))
+            with Tape() as tape:
+                out = op(*inputs)
+                loss = (out * Tensor(upstream)).sum()
+            tape.backward(loss)
+            return out.data, [t.grad for t in inputs]
+
+        fused, fused_grads = run(ad.linear)
+        reference, reference_grads = run(_matmul_plus_bias)
+        assert fused.tobytes() == reference.tobytes()
+        for got, want in zip(fused_grads, reference_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(ValueError):
+            ad.linear(rand((3, 4)), rand((5, 2)), rand((2,)))
+        with pytest.raises(ValueError):
+            ad.linear(rand((3, 4)), rand((2, 4, 2)), rand((2,)))
 
 
 class TestGradCheck:
