@@ -178,7 +178,7 @@ def param_l2(model: CaptionerModel, exempt: bool = False) -> float:
         if group.decay_exempt != exempt:
             continue
         for t in group.tensors:
-            total += float(np.dot(t.data.reshape(-1), t.data.reshape(-1)))
+            total += float(np.square(t.data).sum())
     return float(np.sqrt(total))
 
 

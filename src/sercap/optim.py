@@ -68,11 +68,13 @@ def clip_global_norm(grads: list[np.ndarray], clip_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= clip_norm.
 
     Returns the applied scale factor.  Non-finite gradients abort with
-    an error: training must halt rather than step on garbage.
+    an error: training must halt rather than step on garbage.  The squares
+    are summed by numpy, not by a BLAS dot, whose result moves with the
+    BLAS thread count.
     """
     sq = 0.0
     for g in grads:
-        sq += float(np.dot(g.reshape(-1), g.reshape(-1)))
+        sq += float(np.square(g).sum())
     if not np.isfinite(sq):
         raise FloatingPointError("non-finite gradient encountered before clipping")
     norm = np.sqrt(sq)

@@ -381,6 +381,9 @@ class TestPlotCurves:
         assert not (tmp_path / "all.png").exists()
 
     def test_png_rendered_when_requested(self, tmp_path):
+        # matplotlib is the optional "plot" extra; the missing-extra error
+        # is test_png_without_matplotlib_names_plot_extra's case
+        pytest.importorskip("matplotlib")
         train(tiny_config(), tmp_path / "runA")
         plot_curves([tmp_path / "runA" / "curve.csv"], tmp_path / "all.csv", tmp_path / "all.png")
         assert (tmp_path / "all.png").stat().st_size > 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sercap import blas
 from sercap.autodiff import Tensor
 from sercap.optim import AdamW, OptimConfig, clip_global_norm, cosine_lr, make_param_groups
 
@@ -51,6 +52,25 @@ class TestClipGlobalNorm:
     def test_nan_rejected(self):
         with pytest.raises(FloatingPointError):
             clip_global_norm([np.array([np.nan, 1.0])], 10.0)
+
+    def test_independent_of_blas_threads(self):
+        """OpenBLAS splits a long dot product across its threads, which moves
+        the last bits of the sum; the clip must not depend on that.  With a
+        single BLAS thread (a one-CPU host) this passes without showing it."""
+        if not blas.thread_counts():
+            pytest.skip("no loaded OpenBLAS exports thread control")
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            grads = [rng.normal(0, 1, (250, 200)), rng.normal(0, 1, (30_000,)), rng.normal(0, 1, (96,))]
+            threaded = [g.copy() for g in grads]
+            single = [g.copy() for g in grads]
+            scale = clip_global_norm(threaded, 1.0)
+            with blas.single_threaded():
+                single_scale = clip_global_norm(single, 1.0)
+            assert scale < 1.0
+            assert scale == single_scale
+            for a, b in zip(threaded, single):
+                assert a.tobytes() == b.tobytes()
 
 
 def _named(*pairs):
