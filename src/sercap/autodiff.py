@@ -347,16 +347,17 @@ def log(a) -> Tensor:
     return _make(np.log(x), (a,), lambda g: (g / x,))
 
 
-def _flat_product_vjp(x2, w, x_shape, rx: bool, rw: bool):
+def _flat_product_vjp(x2, w, x_shape):
     """VJP of ``x2 @ w`` for rows ``x2`` flattened from an ``x_shape`` input.
 
-    The caller saves ``w`` only when ``rx`` and ``x2`` only when ``rw``.
+    The caller passes ``w`` only when the input needs a gradient and ``x2``
+    only when the weight does, and None otherwise.
     """
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = (g2 @ w.T).reshape(x_shape) if rx else None
-        gw = x2.T @ g2 if rw else None
+        gx = None if w is None else (g2 @ w.T).reshape(x_shape)
+        gw = None if x2 is None else x2.T @ g2
         return gx, gw
 
     return vjp
@@ -378,9 +379,8 @@ def matmul(a, b) -> Tensor:
     ra, rb = a.requires_grad, b.requires_grad
     if b.ndim == 2:
         x2 = x.reshape(-1, x.shape[-1])
-        out = x2 @ w if x.ndim == 2 else (x2 @ w).reshape(x.shape[:-1] + w.shape[1:])
-        vjp = _flat_product_vjp(x2 if rb else None, w if ra else None, x.shape, ra, rb)
-        return _make(out, (a, b), vjp)
+        vjp = _flat_product_vjp(x2 if rb else None, w if ra else None, x.shape)
+        return _make((x2 @ w).reshape(x.shape[:-1] + w.shape[1:]), (a, b), vjp)
 
     sa, sb = x.shape, w.shape
     xa = x if rb else None
@@ -410,9 +410,10 @@ def linear(x, w, b) -> Tensor:
     x2 = xd.reshape(-1, xd.shape[-1])
     out = x2 @ w.data
     out += b.data
-    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
-    product_vjp = _flat_product_vjp(x2 if rw else None, w.data if rx else None, xd.shape, rx, rw)
-    sb = b.data.shape
+    product_vjp = _flat_product_vjp(
+        x2 if w.requires_grad else None, w.data if x.requires_grad else None, xd.shape
+    )
+    sb, rb = b.data.shape, b.requires_grad
 
     def vjp(g):
         return (*product_vjp(g), _unbroadcast(g, sb) if rb else None)

@@ -432,7 +432,9 @@ class TestSavedArrays:
         def run(op):
             rng = np.random.default_rng(35)
             shapes = [shape, (4, 6), (6,)]
-            inputs = [Tensor(rng.normal(0, 1, s), requires_grad=i not in frozen) for i, s in enumerate(shapes)]
+            inputs = [
+                Tensor(rng.normal(0, 1, s), requires_grad=i not in frozen) for i, s in enumerate(shapes)
+            ]
             upstream = rng.normal(0, 1, shape[:-1] + (6,))
             with Tape() as tape:
                 out = op(*inputs)
