@@ -54,6 +54,20 @@ def thread_counts() -> list[int]:
     return [get() for get, _ in _controls()]
 
 
+def runtime_info() -> dict:
+    """numpy's version, the BLAS numpy was built against, and the thread
+    count of each controlled OpenBLAS (in library-path order), for run
+    manifests."""
+    import numpy as np
+
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 can only print its build
+        build = {}
+    return {"numpy": np.__version__,
+            "blas": {"name": build.get("name"), "version": build.get("version"), "threads": thread_counts()}}
+
+
 @contextmanager
 def single_threaded():
     """Run the block with every controlled OpenBLAS on one thread."""

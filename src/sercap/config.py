@@ -187,14 +187,6 @@ def apply_settings(cfg: ExperimentConfig, entries: Iterable[tuple[str, str]],
     return cfg
 
 
-def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    lines = []
-    for key, (section, attr) in _KEYMAP.items():
-        target = cfg if section == "" else getattr(cfg, section)
-        lines.append(f"{key}={getattr(target, attr)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def to_manifest(cfg: ExperimentConfig) -> dict:
     """Every effective value, suitable for JSON with sorted keys."""
     out = {}

@@ -11,6 +11,7 @@ moments, RNG states), so split runs resume bitwise-identically.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import struct
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig, clone, from_manifest, save_manifest, to_manifest
 from .data import CaptionedClip, EventGrammar, expect_end, generate_split, read_exact
@@ -129,36 +131,50 @@ def build_decode_config(config: ExperimentConfig) -> DecodeConfig:
                         stopwords=load_stopwords(d.stopwords_file or None))
 
 
-def sentence_embedder(encoder: SentenceEncoder, sent_vocab: Vocabulary, captions=()):
+class SentenceEmbedder:
     """Caption -> embedding vector through the frozen encoder, memoized.
 
-    ``captions`` are embedded up front in batches; any other caption is
-    embedded on its first use, on its own.
+    This is the embedder contract ``metrics.sbert_metric`` relies on: the
+    object is callable on one caption, and ``vectors`` embeds a list of
+    captions, running every caption not seen before through one
+    ``_embed_captions_batch`` call.
     """
-    cache = _embed_captions_batch(encoder, sent_vocab, captions)
 
-    def embed(text: str) -> np.ndarray:
-        if text not in cache:
-            cache.update(_embed_captions_batch(encoder, sent_vocab, [text]))
-        return cache[text]
+    def __init__(self, encoder: SentenceEncoder, sent_vocab: Vocabulary):
+        self.encoder, self.sent_vocab = encoder, sent_vocab
+        self.cache: dict[str, np.ndarray] = {}
 
-    return embed
+    def __call__(self, text: str) -> np.ndarray:
+        return self.vectors([text])[0]
+
+    def vectors(self, captions) -> list[np.ndarray]:
+        missing = [c for c in captions if c not in self.cache]
+        if missing:
+            self.cache.update(_embed_captions_batch(self.encoder, self.sent_vocab, missing))
+        return [self.cache[c] for c in captions]
+
+
+def sentence_embedder(encoder: SentenceEncoder, sent_vocab: Vocabulary) -> SentenceEmbedder:
+    """A memoizing ``SentenceEmbedder`` over ``encoder`` and its vocabulary."""
+    return SentenceEmbedder(encoder, sent_vocab)
 
 
 def _embed_captions_batch(encoder, sent_vocab, captions, chunk=64) -> dict[str, np.ndarray]:
     """Embed unique captions; returns a caption->vector map.
 
-    Captions are padded in chunks of similar subword length, so little of
-    each chunk is padding.  A single caption is a one-row batch, which
-    gives the same vector bit for bit as ``embed_tokens`` on its 1-D ids.
+    Captions of equal subword length run together, at most ``chunk`` rows
+    per ``embed_tokens`` call, so no row is padded.  A caption alone in
+    its group is a one-row batch, which gives the same vector bit for bit
+    as ``embed_tokens`` on its 1-D ids.
     """
     ids = {c: subword_tokenize(c, sent_vocab) for c in set(captions)}
     order = sorted(ids, key=lambda c: (len(ids[c]), c))
     out: dict[str, np.ndarray] = {}
-    for i in range(0, len(order), chunk):
-        group = order[i : i + chunk]
-        tokens, mask = pad_sequences([ids[c] for c in group])
-        out.update(zip(group, encoder.embed_tokens(tokens, mask).data))
+    for _, same_len in itertools.groupby(order, key=lambda c: len(ids[c])):
+        same_len = list(same_len)
+        for i in range(0, len(same_len), chunk):
+            group = same_len[i : i + chunk]
+            out.update(zip(group, encoder.embed_tokens([ids[c] for c in group]).data))
     return out
 
 
@@ -372,9 +388,8 @@ def train(
         train_targets = _embed_captions_batch(
             exp.encoder, exp.sent_vocab, [c.captions[0] for c in exp.train_clips]
         )
-    embed = sentence_embedder(
-        exp.encoder, exp.sent_vocab, [cap for clip in exp.val_clips for cap in clip.captions]
-    )
+    embed = sentence_embedder(exp.encoder, exp.sent_vocab)
+    embed.vectors([cap for clip in exp.val_clips for cap in clip.captions])
 
     n_train = len(exp.train_clips)
     best_path = out_dir / "best.ckpt"
@@ -451,7 +466,8 @@ def train(
     (out_dir / "fense_history.json").write_text(
         json.dumps({"val_fense": fense_history, "best_epoch": best_epoch}, indent=2) + "\n"
     )
-    save_manifest(cfg, out_dir / "manifest.json", extra={"encoder_hash": exp.encoder.param_hash()})
+    save_manifest(cfg, out_dir / "manifest.json",
+                  extra={"encoder_hash": exp.encoder.param_hash(), **blas.runtime_info()})
 
     return TrainResult(
         experiment=exp,

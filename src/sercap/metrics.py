@@ -3,8 +3,10 @@
 CIDEr-D is computed from scratch (TF-IDF weighted n-gram cosine with a
 Gaussian length penalty, n=1..4, sigma=6, scaled by 10).  The sentence
 similarity metric uses the frozen sentence encoder through a supplied
-``embedder`` callable.  Fluency errors are rule-based over shipped word
-lists; FENSE divides the similarity score by 10 when any rule fires.
+``embedder``: callable on one caption, and with a ``vectors`` method that
+embeds a list of captions in one call (``harness.SentenceEmbedder``).
+Fluency errors are rule-based over shipped word lists; FENSE divides the
+similarity score by 10 when any rule fires.
 SPICE is never computed here: per-item scores may be supplied from an
 external file, otherwise SPIDEr is simply absent from the report.
 """
@@ -173,16 +175,19 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 def sbert_metric(items: list[EvalItem], embedder, agg: str = "mean") -> tuple[float, list[float]]:
     """Cosine similarity between candidate and reference sentence embeddings.
 
-    ``embedder`` maps a caption string to a fixed-size vector.  Per item
-    the similarities against the references are aggregated by ``agg``
-    (mean by default, max available as a switch).
+    ``embedder.vectors`` maps a list of captions to their fixed-size
+    vectors; it is called once, with every candidate and reference of
+    ``items``, so an encoder-backed embedder can run them as one batch.
+    Per item the similarities against the references are aggregated by
+    ``agg`` (mean by default, max available as a switch).
     """
     if agg not in ("mean", "max"):
         raise ValueError("agg must be 'mean' or 'max'")
+    vectors = iter(embedder.vectors([t for it in items for t in (it.candidate, *it.references)]))
     per_item = []
     for it in items:
-        c = embedder(it.candidate)
-        sims = [_cosine(c, embedder(r)) for r in it.references]
+        c = next(vectors)
+        sims = [_cosine(c, next(vectors)) for _ in it.references]
         per_item.append(float(max(sims) if agg == "max" else np.mean(sims)))
     return float(np.mean(per_item)), per_item
 

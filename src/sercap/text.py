@@ -55,21 +55,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(f"#kind={self.kind} pad={PAD_ID} bos={BOS_ID} eos={EOS_ID} unk={UNK_ID}\n")
-            for tok in self.id_to_token:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("#kind="):
-            raise ValueError(f"{path}: missing vocabulary header line")
-        kind = lines[0].split()[0].split("=", 1)[1]
-        return cls(kind=kind, id_to_token=lines[1:])
-
 
 def build_vocab(
     corpus: Iterable[str],

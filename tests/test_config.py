@@ -10,7 +10,6 @@ from sercap.config import (
     parse_config,
     save_manifest,
     to_manifest,
-    write_config,
 )
 
 
@@ -62,18 +61,6 @@ def test_invalid_value_rejected_by_dataclass(tmp_path):
     p.write_text("loss.label_smoothing=1.5\n")
     with pytest.raises(ValueError):
         parse_config(p)
-
-
-def test_write_parse_roundtrip(tmp_path):
-    cfg = ExperimentConfig()
-    cfg.model.d_model = 64
-    cfg.loss.ser_weight = 0.0
-    cfg.optim.weight_decay = 2.0
-    cfg.tokenizer = "subword"
-    p = tmp_path / "run.cfg"
-    write_config(cfg, p)
-    loaded = parse_config(p)
-    assert to_manifest(loaded) == to_manifest(cfg)
 
 
 def test_manifest_roundtrip():

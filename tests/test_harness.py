@@ -1,11 +1,13 @@
 import json
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sercap import autodiff, data, decoding, harness, metrics, model, optim
+from sercap import autodiff, blas, data, decoding, harness, metrics, model, optim
 from sercap.config import ExperimentConfig, clone, to_manifest
 from sercap.harness import (
     CURVE_COLUMNS,
@@ -90,10 +92,44 @@ class TestSentenceEmbedder:
             apart = _embed_captions_batch(exp.encoder, exp.sent_vocab, caps, chunk=chunk)
             for cap in caps:
                 np.testing.assert_allclose(apart[cap], together[cap], rtol=0, atol=1e-12)
-        prefilled = sentence_embedder(exp.encoder, exp.sent_vocab, caps)
+        prefilled = sentence_embedder(exp.encoder, exp.sent_vocab)
+        prefilled.vectors(caps)
         single = sentence_embedder(exp.encoder, exp.sent_vocab)
         for cap in caps:
             np.testing.assert_allclose(prefilled(cap), single(cap), rtol=0, atol=1e-12)
+
+    def test_scoring_runs_one_encoder_call_per_length_group(self, monkeypatch):
+        exp = build_experiment(tiny_config())
+        items = [metrics.EvalItem(clip.captions[0], clip.captions[1:])
+                 for clip in exp.val_clips + exp.test_clips]
+        caps = {c for it in items for c in (it.candidate, *it.references)}
+        ids = {c: subword_tokenize(c, exp.sent_vocab) for c in caps}
+        per_length = Counter(len(t) for t in ids.values())
+        assert len(per_length) < len(caps) and max(per_length.values()) > 2
+
+        shapes = []
+        real = model.SentenceEncoder.embed_tokens
+
+        def counted(self, tokens, pad_mask=None):
+            shapes.append(np.shape(tokens))
+            return real(self, tokens, pad_mask)
+
+        monkeypatch.setattr(model.SentenceEncoder, "embed_tokens", counted)
+        _, got = metrics.sbert_metric(items, sentence_embedder(exp.encoder, exp.sent_vocab))
+        assert sorted(shapes) == sorted((n, length) for length, n in per_length.items())
+        shapes.clear()
+        _embed_captions_batch(exp.encoder, exp.sent_vocab, caps, chunk=2)
+        assert sorted(shapes) == sorted((min(2, n - i), length) for length, n in per_length.items()
+                                        for i in range(0, n, 2))
+        monkeypatch.undo()
+
+        one = {c: exp.encoder.embed_tokens(np.asarray(t)).data for c, t in ids.items()}
+
+        def cosine(a, b):
+            return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+        want = [np.mean([cosine(one[it.candidate], one[r]) for r in it.references]) for it in items]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestBenchmarkHooks:
@@ -163,8 +199,44 @@ class TestTrain:
         expected = to_manifest(res.experiment.config)
         expected["model.vocab_size"] = res.experiment.vocab.size
         expected["encoder_hash"] = res.experiment.encoder.param_hash()
+        expected.update(blas.runtime_info())
         assert (tmp_path / "run" / "manifest.json").read_text() == \
             json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_manifest_records_numpy_and_blas(self, tmp_path):
+        with blas.single_threaded():
+            train(tiny_config(optim__epochs=1), tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"]["name"] == build["name"] and manifest["blas"]["version"] == build["version"]
+        assert manifest["blas"]["threads"] == [1] * len(blas.thread_counts())
+
+    def test_clipped_ser_run_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        """A lambda > 0 run whose clip engages writes the same checkpoint on
+        one BLAS thread as on several.  Its ff and SER weights have 20,480
+        elements, past the size at which OpenBLAS splits a dot product: a
+        clip norm summed with ``np.dot`` fails here."""
+        counts = blas.thread_counts()
+        if not counts:
+            pytest.skip("no loaded OpenBLAS exports thread control")
+        if len(os.sched_getaffinity(0)) < 2 or max(counts) < 2:
+            pytest.skip("BLAS runs on one thread here")
+        scales = []
+        real_clip = harness.clip_global_norm
+
+        def recorded_clip(grads, clip_norm):
+            scales.append(real_clip(grads, clip_norm))
+            return scales[-1]
+
+        monkeypatch.setattr(harness, "clip_global_norm", recorded_clip)
+        overrides = dict(model__d_model=32, model__d_ff=640, model__d_sent=640)
+        assert tiny_config(**overrides).loss.ser_weight > 0
+        threaded = train(tiny_config(**overrides), tmp_path / "threaded")
+        with blas.single_threaded():
+            single = train(tiny_config(**overrides), tmp_path / "single")
+        assert min(scales) < 1.0
+        assert threaded.last_ckpt.read_bytes() == single.last_ckpt.read_bytes()
 
     def test_nan_abort_writes_diagnostic(self, tmp_path, monkeypatch):
         # layer norm and stable softmax make organic NaNs nearly impossible

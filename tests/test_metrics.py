@@ -178,6 +178,9 @@ class FakeEmbedder:
             v += rng.normal(0, 1, self.dim)
         return v
 
+    def vectors(self, texts):
+        return [self(t) for t in texts]
+
 
 class TestSbertMetric:
     def test_identical_pair_scores_one(self):

@@ -130,28 +130,6 @@ class TestSubword:
             assert text.subword_detokenize(text.subword_tokenize(c, v), v) == c
 
 
-class TestVocabularyFile:
-    def test_save_load_roundtrip(self, tmp_path, word_vocab):
-        p = tmp_path / "vocab.txt"
-        word_vocab.save(p)
-        loaded = Vocabulary.load(p)
-        assert loaded.kind == word_vocab.kind
-        assert loaded.id_to_token == word_vocab.id_to_token
-
-    def test_header_line(self, tmp_path, word_vocab):
-        p = tmp_path / "vocab.txt"
-        word_vocab.save(p)
-        first = p.read_text().splitlines()[0]
-        assert first.startswith("#kind=word")
-        assert "pad=0" in first and "unk=3" in first
-
-    def test_missing_header_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("<pad>\n<bos>\n")
-        with pytest.raises(ValueError):
-            Vocabulary.load(p)
-
-
 class TestStopwords:
     def test_nonempty_lowercase(self):
         sw = text.load_stopwords()
