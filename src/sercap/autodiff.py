@@ -551,12 +551,21 @@ def gelu(x) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
     phi_cdf = ndtr(xd)
+    out = xd * phi_cdf
+    if _active_tape() is None or not x.requires_grad:
+        return Tensor(out)  # nothing to record
+    # the VJP keeps only d/dx = Phi + x*phi(x), built in one buffer
+    deriv = -0.5 * xd
+    deriv *= xd
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT2PI
+    deriv *= xd
+    deriv += phi_cdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (phi_cdf + xd * pdf),)
+        return (g * deriv,)
 
-    return _make(xd * phi_cdf, (x,), vjp)
+    return _make(out, (x,), vjp)
 
 
 def embedding_lookup(table, ids) -> Tensor:

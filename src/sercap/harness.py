@@ -5,16 +5,19 @@ train with the combined objective (clip, AdamW step, cosine epoch
 schedule), validate every epoch (teacher-forced CE, beam-decoded
 sentence similarity, FENSE), and retain the best-FENSE checkpoint plus
 the final one.  Checkpoints are a self-contained binary container
-(config manifest, vocabularies, every parameter tensor, optimizer
-moments, RNG states), so split runs resume bitwise-identically.
+(config manifest, vocabularies, validation FENSE history, every
+parameter tensor, optimizer moments, RNG states), so split runs resume
+bitwise-identically.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import json
+import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +26,7 @@ import numpy as np
 from . import blas
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig, clone, from_manifest, save_manifest, to_manifest
-from .data import CaptionedClip, EventGrammar, expect_end, generate_split, read_exact
+from .data import CaptionedClip, EventGrammar, generate_split, read_exact
 from .decoding import BeamHypothesis, DecodeConfig, decode_corpus
 from .losses import combined_loss, cross_entropy_smoothed, ser_loss
 from .metrics import (EvalItem, FluencyLexicons, MetricReport, evaluate_corpus, fense_compose,
@@ -236,6 +239,7 @@ def save_checkpoint(
     best_fense: float,
     best_epoch: int,
     rng_states: dict,
+    fense_history: list[float] | tuple = (),
 ) -> None:
     arrays: list[tuple[str, np.ndarray]] = [
         ("param/" + name, t.data) for name, t in model.named_params()
@@ -247,6 +251,7 @@ def save_checkpoint(
         "vocab": {"kind": vocab.kind, "tokens": vocab.id_to_token},
         "sent_vocab": {"kind": sent_vocab.kind, "tokens": sent_vocab.id_to_token},
         "epoch": epoch,
+        "fense_history": [float(f) for f in fense_history],
         "best_fense": best_fense,
         "best_epoch": best_epoch,
         "step_count": optimizer.step_count,
@@ -271,42 +276,110 @@ def save_checkpoint(
         raise
 
 
-def load_checkpoint(path: str | Path) -> dict:
-    with Path(path).open("rb") as fh:
+class CheckpointReader:
+    """An open checkpoint, read in two phases.
+
+    Opening it checks the magic, the version and the header, and the
+    file's size against the array directory, so a short or over-long file
+    is rejected (naming the file and the array) before any array is read,
+    also when the damage lies in a section no caller asks for.
+    ``read_into`` then reads each requested array straight into its
+    destination buffer and seeks past the others.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._fh = Path(path).open("rb")
+        try:
+            self.header = self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "CheckpointReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _read_header(self) -> dict:
+        fh, path = self._fh, self.path
         if fh.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         version, header_len = struct.unpack("<IQ", read_exact(fh, 12, path, "header"))
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(read_exact(fh, header_len, path, "header").decode("utf-8"))
-        arrays = {}
+        header.setdefault("fense_history", [])  # absent from older checkpoints
+        size = os.fstat(fh.fileno()).st_size
+        offset = fh.tell()
+        self._directory: dict[str, tuple[tuple[int, ...], int]] = {}
         for meta in header["arrays"]:
             shape = tuple(meta["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = read_exact(fh, n * 8, path, f"array {meta['name']}")
-            arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        expect_end(fh, path)
-    header["array_data"] = arrays
-    return header
+            nbytes = 8 * math.prod(shape)
+            if offset + nbytes > size:
+                raise ValueError(f"{path}: truncated array {meta['name']}: "
+                                 f"expected {nbytes} bytes, got {size - offset}")
+            self._directory[meta["name"]] = (shape, offset)
+            offset += nbytes
+        if size > offset:
+            raise ValueError(f"{path}: {size - offset} unexpected bytes after the last array")
+        return header
+
+    def read_into(self, dests: dict[str, np.ndarray]) -> None:
+        """Fill each C-contiguous float64 buffer of ``dests`` with the array
+        of that name; every name and shape is checked before any is read."""
+        for name, dest in dests.items():
+            if name not in self._directory:
+                raise ValueError(f"{self.path}: no array {name}")
+            shape = self._directory[name][0]
+            if dest.shape != shape:
+                raise ValueError(f"{self.path}: shape mismatch loading {name}: "
+                                 f"{shape} in the file, {dest.shape} in memory")
+            if dest.dtype != np.float64 or not dest.flags.c_contiguous or not dest.flags.writeable:
+                raise ValueError(f"cannot read {name} into a non-contiguous or non-float64 buffer")
+        for name, (_, offset) in self._directory.items():
+            dest = dests.get(name)
+            if dest is None:
+                continue
+            self._fh.seek(offset)
+            got = self._fh.readinto(dest.reshape(-1).view(np.uint8))
+            if got != dest.nbytes:
+                raise ValueError(f"{self.path}: truncated array {name}: "
+                                 f"expected {dest.nbytes} bytes, got {got}")
+            if sys.byteorder != "little":  # stored as <f8
+                dest.byteswap(inplace=True)
 
 
-def load_params(model: CaptionerModel, ckpt: dict) -> None:
-    """Copy a loaded checkpoint's captioner parameters into ``model``."""
-    model.params.load_arrays(_section(ckpt, "param/"))
+def load_checkpoint(path: str | Path) -> dict:
+    """A checkpoint's header with every array, under ``"array_data"``."""
+    with CheckpointReader(path) as ckpt:
+        arrays = {m["name"]: np.empty(tuple(m["shape"])) for m in ckpt.header["arrays"]}
+        ckpt.read_into(arrays)
+    return ckpt.header | {"array_data": arrays}
 
 
-def _section(ckpt: dict, prefix: str) -> dict[str, np.ndarray]:
-    return {n[len(prefix):]: a for n, a in ckpt["array_data"].items() if n.startswith(prefix)}
+def _param_buffers(model: CaptionerModel) -> dict[str, np.ndarray]:
+    return {"param/" + name: t.data for name, t in model.named_params()}
+
+
+def load_params(model: CaptionerModel, path: str | Path) -> None:
+    """Read a checkpoint's captioner parameters into ``model``'s arrays, in place."""
+    with CheckpointReader(path) as ckpt:
+        ckpt.read_into(_param_buffers(model))
 
 
 def restore_model(path: str | Path) -> tuple[CaptionerModel, SentenceEncoder, Vocabulary, Vocabulary, ExperimentConfig]:
-    """Rebuild the trained captioner (and its frozen encoder) from a checkpoint."""
-    ckpt = load_checkpoint(path)
-    config = from_manifest(ckpt["config"])
-    vocab = Vocabulary(kind=ckpt["vocab"]["kind"], id_to_token=list(ckpt["vocab"]["tokens"]))
-    sent_vocab = Vocabulary(kind=ckpt["sent_vocab"]["kind"], id_to_token=list(ckpt["sent_vocab"]["tokens"]))
-    model, encoder = build_models(config, vocab, sent_vocab)
-    load_params(model, ckpt)
+    """Rebuild the trained captioner (and its frozen encoder) from a
+    checkpoint, reading only its parameters."""
+    with CheckpointReader(path) as ckpt:
+        header = ckpt.header
+        config = from_manifest(header["config"])
+        vocab = Vocabulary(kind=header["vocab"]["kind"], id_to_token=list(header["vocab"]["tokens"]))
+        sent_vocab = Vocabulary(kind=header["sent_vocab"]["kind"],
+                                id_to_token=list(header["sent_vocab"]["tokens"]))
+        model, encoder = build_models(config, vocab, sent_vocab)
+        ckpt.read_into(_param_buffers(model))
     model.eval_mode()
     return model, encoder, vocab, sent_vocab, config
 
@@ -369,16 +442,20 @@ def train(
     start_epoch = 0
     best_fense = -np.inf
     best_epoch = -1
+    fense_history: list[float] = []
 
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        load_params(model, ckpt)
-        optimizer.load_state_arrays(_section(ckpt, "optim/"), ckpt["step_count"])
-        shuffle_rng = _restore_rng(ckpt["rng"]["shuffle"])
-        dropout_rng = _restore_rng(ckpt["rng"]["dropout"])
-        start_epoch = ckpt["epoch"]
-        best_fense = ckpt["best_fense"]
-        best_epoch = ckpt["best_epoch"]
+        with CheckpointReader(resume_from) as ckpt:
+            ckpt.read_into(_param_buffers(model)
+                           | {"optim/" + k: a for k, a in optimizer.state_arrays()})
+        header = ckpt.header
+        optimizer.step_count = header["step_count"]
+        shuffle_rng = _restore_rng(header["rng"]["shuffle"])
+        dropout_rng = _restore_rng(header["rng"]["dropout"])
+        start_epoch = header["epoch"]
+        best_fense = header["best_fense"]
+        best_epoch = header["best_epoch"]
+        fense_history = list(header["fense_history"])
 
     train_seqs = [tokenize(clip.captions[0], exp.vocab) for clip in exp.train_clips]
     train_feats = [clip.features for clip in exp.train_clips]
@@ -395,7 +472,6 @@ def train(
     best_path = out_dir / "best.ckpt"
     last_path = out_dir / "last.ckpt"
     curve: list[CurveRow] = []
-    fense_history: list[float] = []
     if resume_from is not None and (out_dir / "curve.csv").exists():
         curve = [r for r in read_curve(out_dir / "curve.csv") if r.epoch < start_epoch]
 
@@ -411,6 +487,7 @@ def train(
             best_fense=float(best_fense),
             best_epoch=best_epoch,
             rng_states={"shuffle": _rng_state(shuffle_rng), "dropout": _rng_state(dropout_rng)},
+            fense_history=fense_history,
         )
 
     end_epoch = cfg.optim.epochs if stop_after is None else min(stop_after, cfg.optim.epochs)
@@ -568,7 +645,7 @@ def run_ablation(base: ExperimentConfig, out_dir: str | Path) -> dict:
                     run_dir = out_dir / label / f"seed{s}"
                     try:
                         result = train(cfg, run_dir)
-                        load_params(result.experiment.model, load_checkpoint(result.best_ckpt))
+                        load_params(result.experiment.model, result.best_ckpt)
                         report, _ = evaluate_split(result.experiment, result.experiment.test_clips)
                         per_seed.append({
                             "seed": cfg.seed,

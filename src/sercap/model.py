@@ -87,13 +87,6 @@ class ParamSet:
             h.update(t.data.tobytes())
         return h.hexdigest()
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self._params.items():
-            src = arrays[name]
-            if src.shape != t.data.shape:
-                raise ValueError(f"shape mismatch loading {name}")
-            t.data = np.array(src, dtype=np.float64)
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -73,8 +73,12 @@ def clip_global_norm(grads: list[np.ndarray], clip_norm: float) -> float:
     BLAS thread count.
     """
     sq = 0.0
+    # one scratch buffer for every square; a view with the gradient's
+    # shape sums exactly as ``np.square(g).sum()`` does
+    scratch = np.empty(max((g.size for g in grads), default=0))
     for g in grads:
-        sq += float(np.square(g).sum())
+        sq_g = np.square(g, out=scratch[: g.size].reshape(g.shape))
+        sq += float(sq_g.sum())
     if not np.isfinite(sq):
         raise FloatingPointError("non-finite gradient encountered before clipping")
     norm = np.sqrt(sq)

@@ -19,7 +19,7 @@ from sercap.autodiff import Tape, Tensor
 from sercap.config import ExperimentConfig, clone, parse_config, to_manifest
 from sercap.data import EventGrammar, generate_split
 from sercap.decoding import DecodeConfig, beam_search, exhaustive_search, greedy_search
-from sercap.harness import evaluate_split, load_checkpoint, load_params, param_l2, train
+from sercap.harness import evaluate_split, load_params, param_l2, train
 from sercap.losses import combined_loss, cross_entropy_smoothed, smooth_l1, ser_loss
 from sercap.metrics import EvalItem, cross_reference, fense_compose, spider
 from sercap.model import CaptionerModel, ModelConfig, SentenceEncoder
@@ -105,10 +105,10 @@ def study(tmp_path_factory):
         runs = []
         for seed in STUDY_SEEDS:
             result = train(study_config(lam, wd, seed), root / label / f"seed{seed}")
-            load_params(result.experiment.model, load_checkpoint(result.best_ckpt))
+            load_params(result.experiment.model, result.best_ckpt)
             report, _ = evaluate_split(result.experiment, result.experiment.test_clips)
             # final (post-training) norms come from the last checkpoint
-            load_params(result.experiment.model, load_checkpoint(result.last_ckpt))
+            load_params(result.experiment.model, result.last_ckpt)
             runs.append({
                 "seed": seed,
                 "curve": result.curve,

@@ -118,6 +118,28 @@ class TestGelu:
         out = ad.gelu(Tensor(x)).data
         assert (np.abs(out - x * erf_phi) / np.maximum(1.0, np.abs(x))).max() <= 1e-15
 
+    def test_vjp_saves_one_array(self):
+        # the closure keeps d/dx = Phi + x*phi(x), not x and Phi, and its
+        # gradient equals that formula evaluated from x bit for bit
+        x = rand((6, 7, 5), seed=10, scale=2.0)
+        with Tape() as tape:
+            loss = ad.gelu(x).sum()
+        vjp = tape._nodes[0][2]
+        saved = [c.cell_contents for c in vjp.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert len(saved) == 1
+        tape.backward(loss)
+        xd = x.data
+        pdf = np.exp(-0.5 * xd * xd) * (1.0 / np.sqrt(2.0 * np.pi))
+        assert x.grad.tobytes() == (np.ones_like(xd) * (ndtr(xd) + xd * pdf)).tobytes()
+
+    def test_no_tape_no_vjp(self):
+        x = rand((3, 4), seed=11)
+        frozen = Tensor(x.data)
+        with Tape() as tape:
+            ad.gelu(frozen)
+        assert len(tape) == 0
+        assert ad.gelu(x).data.tobytes() == ad.gelu(frozen).data.tobytes()
+
 
 class TestEmbedding:
     def test_row_gather(self):

@@ -10,7 +10,10 @@ from sercap.cli import build_parser, main
 from sercap.config import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-from sercap.harness import CurveRow, write_curve
+from sercap.config import parse_config
+from sercap.data import load_features
+from sercap.harness import CurveRow, decode_split, train, write_curve
+from sercap.text import detokenize
 
 
 def write_tiny_config(path: Path, **extra) -> Path:
@@ -94,6 +97,27 @@ class TestTrainDecode:
         assert len(sidecar) == 2
         assert all("log_prob" in rec and "caption" in rec for rec in sidecar)
         assert all(rec["log_prob"] <= 0 for rec in sidecar)
+
+    def test_decode_equals_the_model_that_wrote_the_checkpoint(self, tmp_path):
+        # decode restores only the parameters, in place; captions, tokens and
+        # log-probs equal a decode with the in-memory model bit for bit
+        result = train(parse_config(write_tiny_config(tmp_path / "run.cfg")), tmp_path / "run")
+        main([
+            "synth-data", "--out", str(tmp_path / "data"),
+            "--n-train", "2", "--n-val", "2", "--n-test", "3", "--d-enc", "8",
+        ])
+        out = tmp_path / "decoded.txt"
+        rc = main([
+            "decode", "--checkpoint", str(result.last_ckpt),
+            "--features", str(tmp_path / "data" / "test_features.bin"), "--out", str(out),
+        ])
+        assert rc == 0
+        exp = result.experiment
+        hyps = decode_split(exp.model, load_features(tmp_path / "data" / "test_features.bin"),
+                            exp.decode_cfg, exp.vocab)
+        assert out.read_text() == "\n".join(detokenize(h.tokens, exp.vocab) for h in hyps) + "\n"
+        sidecar = json.loads(out.with_suffix(".txt.json").read_text())
+        assert [(r["tokens"], r["log_prob"]) for r in sidecar] == [(h.tokens, h.log_prob) for h in hyps]
 
     def test_decode_respects_length_flags(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "run.cfg")

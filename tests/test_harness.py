@@ -1,6 +1,8 @@
 import json
 import os
+import struct
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -282,6 +284,20 @@ class TestResume:
         )
         assert params_bytes(straight.experiment.model) == params_bytes(resumed.experiment.model)
 
+    def test_resumed_fense_history_covers_all_epochs(self, tmp_path):
+        straight = train(tiny_config(optim__epochs=4), tmp_path / "straight")
+        train(tiny_config(optim__epochs=4), tmp_path / "split", stop_after=2)
+        resumed = train(
+            tiny_config(optim__epochs=4),
+            tmp_path / "split",
+            resume_from=tmp_path / "split" / "last.ckpt",
+        )
+        assert len(resumed.fense_history) == 4
+        assert resumed.fense_history == straight.fense_history
+        for name in ("fense_history.json", "last.ckpt", "best.ckpt"):
+            assert (tmp_path / "split" / name).read_bytes() == \
+                (tmp_path / "straight" / name).read_bytes(), name
+
     def test_resumed_curve_covers_all_epochs(self, tmp_path):
         train(tiny_config(optim__epochs=4), tmp_path / "run", stop_after=2)
         res = train(
@@ -319,6 +335,7 @@ def resave(src: Path, dst: Path, corrupt=None) -> None:
         best_fense=ckpt["best_fense"],
         best_epoch=ckpt["best_epoch"],
         rng_states=ckpt["rng"],
+        fense_history=ckpt["fense_history"],
     )
 
 
@@ -372,11 +389,90 @@ class TestCheckpoint:
         b = restored.step_logits(restored.encode_project(feats).data, prefix)
         assert a.tobytes() == b.tobytes()
 
+    def test_header_without_fense_history_reads_empty(self, tmp_path):
+        res = train(tiny_config(), tmp_path / "run")
+        raw = res.last_ckpt.read_bytes()
+        header_len = struct.unpack("<IQ", raw[4:16])[1]
+        header = json.loads(raw[16 : 16 + header_len])
+        assert len(header.pop("fense_history")) == 2
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + header_len :])
+        assert load_checkpoint(old)["fense_history"] == []
+        restored, *_ = restore_model(old)
+        assert params_bytes(restored) == params_bytes(res.experiment.model)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"JUNK" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+
+def untrained_checkpoint(path: Path, **overrides) -> Path:
+    """A seed-initialised captioner with fresh AdamW moments, saved to ``path``."""
+    cfg = tiny_config(**overrides)
+    exp = build_experiment(cfg)
+    opt = optim.AdamW(optim.make_param_groups(exp.model.named_params()), cfg.optim)
+    save_checkpoint(path, config=cfg, model=exp.model, optimizer=opt, vocab=exp.vocab,
+                    sent_vocab=exp.sent_vocab, epoch=0, best_fense=0.0, best_epoch=-1,
+                    rng_states={})
+    return path
+
+
+class TestCheckpointReader:
+    def test_restore_peak_is_parameters_only(self, tmp_path):
+        # no optimizer moments and no second copy of the parameters: the
+        # arrays are read into the models' own buffers
+        src = untrained_checkpoint(tmp_path / "m.ckpt", model__d_model=128, model__d_ff=512,
+                                   model__decoder_layers=2)
+        restore_model(src)  # imports and first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            net, encoder, *_ = restore_model(src)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captioner = sum(t.data.nbytes for _, t in net.named_params())
+        frozen = sum(t.data.nbytes for _, t in encoder.params.named())
+        assert peak <= captioner + frozen + 0.1 * captioner
+
+    def test_restored_params_equal_all_arrays_load(self, tmp_path):
+        res = train(tiny_config(), tmp_path / "run")
+        arrays = load_checkpoint(res.last_ckpt)["array_data"]
+        restored, *_ = restore_model(res.last_ckpt)
+        for name, t in restored.named_params():
+            assert t.data.tobytes() == arrays["param/" + name].tobytes(), name
+        model = res.experiment.model
+        for _, t in model.named_params():
+            t.data[...] = 0.0
+        harness.load_params(model, res.last_ckpt)
+        assert params_bytes(model) == params_bytes(restored)
+
+    def test_cut_inside_skipped_optimizer_section(self, tmp_path):
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        raw = src.read_bytes()
+        metas = load_checkpoint(src)["arrays"]
+        sizes = [8 * int(np.prod(m["shape"])) for m in metas]
+        k = max((i for i, m in enumerate(metas) if m["name"].startswith("optim/")),
+                key=lambda i: sizes[i])
+        start = len(raw) - sum(sizes[k:])
+        short = tmp_path / "short.ckpt"
+        short.write_bytes(raw[: start + sizes[k] // 2])
+        with pytest.raises(ValueError, match="truncated") as err:
+            restore_model(short)
+        assert str(short) in str(err.value) and metas[k]["name"] in str(err.value)
+        long = tmp_path / "long.ckpt"
+        long.write_bytes(raw + b"\x00" * 8)
+        with pytest.raises(ValueError, match="8 unexpected bytes after the last array") as err:
+            restore_model(long)
+        assert str(long) in str(err.value)
+
+    def test_shape_mismatch_names_parameter(self, tmp_path):
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        wider = build_experiment(tiny_config(model__d_ff=48)).model
+        with pytest.raises(ValueError, match="shape mismatch loading param/dec0.ff.W1"):
+            harness.load_params(wider, src)
 
 
 class TestEvaluateSplit:

@@ -53,6 +53,18 @@ class TestClipGlobalNorm:
         with pytest.raises(FloatingPointError):
             clip_global_norm([np.array([np.nan, 1.0])], 10.0)
 
+    @pytest.mark.parametrize("shapes", [[(7,), (300,), (1,)], [(40, 9), (3, 3), (64,)],
+                                        [(5, 17, 3), (2, 30, 11), (4,)]])
+    def test_norm_equals_per_gradient_square_sums(self, shapes):
+        # squares land in one shared scratch buffer; each sum must still be
+        # the one numpy gives on a fresh ``np.square(g)``
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            grads = [rng.normal(0, 1, s) for s in shapes]
+            want = sum(float(np.square(g).sum()) for g in grads)
+            scale = clip_global_norm([g.copy() for g in grads], 1e-3)
+            assert scale == 1e-3 / np.sqrt(want)
+
     def test_independent_of_blas_threads(self):
         """OpenBLAS splits a long dot product across its threads, which moves
         the last bits of the sum; the clip must not depend on that.  With a
