@@ -291,7 +291,7 @@ class CheckpointReader:
         self.path = path
         self._fh = Path(path).open("rb")
         try:
-            self.header = self._read_header()
+            self.header, self._directory = self._read_header()
         except BaseException:
             self._fh.close()
             raise
@@ -302,7 +302,8 @@ class CheckpointReader:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def _read_header(self) -> dict:
+    def _read_header(self) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]]]:
+        """The header, and each array's shape and file offset by name."""
         fh, path = self._fh, self.path
         if fh.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -313,18 +314,18 @@ class CheckpointReader:
         header.setdefault("fense_history", [])  # absent from older checkpoints
         size = os.fstat(fh.fileno()).st_size
         offset = fh.tell()
-        self._directory: dict[str, tuple[tuple[int, ...], int]] = {}
+        directory = {}
         for meta in header["arrays"]:
             shape = tuple(meta["shape"])
             nbytes = 8 * math.prod(shape)
             if offset + nbytes > size:
                 raise ValueError(f"{path}: truncated array {meta['name']}: "
                                  f"expected {nbytes} bytes, got {size - offset}")
-            self._directory[meta["name"]] = (shape, offset)
+            directory[meta["name"]] = (shape, offset)
             offset += nbytes
         if size > offset:
             raise ValueError(f"{path}: {size - offset} unexpected bytes after the last array")
-        return header
+        return header, directory
 
     def read_into(self, dests: dict[str, np.ndarray]) -> None:
         """Fill each C-contiguous float64 buffer of ``dests`` with the array
