@@ -17,7 +17,9 @@ tensors (Paszke et al., 2019): an activation that no gradient formula
 reads is freed as soon as the forward drops its Tensor.
 
 Broadcasting is supported only where the models need it: bias rows,
-scalar coefficients, and batched matmul with 2-D weights.
+scalar coefficients, and batched matmul with 2-D weights.  Two row ops,
+``scatter_rows`` and ``gather_rows``, move the real rows of a padded
+batch between a packed ``(N, d)`` array and the padded layout.
 """
 from __future__ import annotations
 
@@ -598,18 +600,55 @@ def gather_last(x, idx) -> Tensor:
     return _make(np.take_along_axis(x.data, idx, axis=-1)[..., 0], (x,), vjp)
 
 
-def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+def _placed_rows(rows: np.ndarray, index: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    out = np.zeros((int(np.prod(lead)), rows.shape[-1]))
+    out[index] = rows
+    return out.reshape(*lead, rows.shape[-1])
+
+
+def scatter_rows(x, index, lead: tuple[int, ...]) -> Tensor:
+    """The rows of a 2-D ``x`` placed at the flat positions ``index`` of a
+    zero ``lead + (d,)`` array; ``index`` holds distinct positions.
+
+    Each of ``scatter_rows`` and ``gather_rows`` is the other's VJP, so
+    neither needs a scatter-add.
+    """
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.int64)
+    d = x.data.shape[-1]
+    return _make(_placed_rows(x.data, index, lead), (x,), lambda g: (g.reshape(-1, d)[index],))
+
+
+def gather_rows(x, index) -> Tensor:
+    """The rows at the flat positions ``index`` of ``x``'s leading axes,
+    as a ``(len(index), d)`` array; ``index`` holds distinct positions."""
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.int64)
+    lead = x.data.shape[:-1]
+    rows = x.data.reshape(-1, x.data.shape[-1])[index]
+    return _make(rows, (x,), lambda g: (_placed_rows(g, index, lead),))
+
+
+def dropout(x, p: float, training: bool, rng: np.random.Generator, rows=None) -> Tensor:
     """Inverted dropout: scales survivors by 1/(1-p); eval is identity.
 
     The node keeps a boolean mask, not a float one; ``(x * scale) * mask``
-    equals ``x * (mask / (1 - p))`` bit for bit.
+    equals ``x * (mask / (1 - p))`` bit for bit.  With ``rows = (index,
+    lead)``, ``x`` holds the rows ``gather_rows`` takes at ``index`` from
+    a ``lead + (d,)`` array: the mask is drawn for that whole array and
+    its rows at ``index`` kept, so every row gets the mask, and the
+    generator the state, that dropout of the whole array would give.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
     if not training or p == 0.0:
         return x
-    mask = rng.random(x.data.shape) >= p
+    if rows is None:
+        mask = rng.random(x.data.shape) >= p
+    else:
+        index, lead = rows
+        mask = (rng.random((int(np.prod(lead)), x.data.shape[-1])) >= p)[index]
     scale = 1.0 / (1.0 - p)
     return _make((x.data * scale) * mask, (x,), lambda g: ((g * scale) * mask,))
 
@@ -695,6 +734,9 @@ def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
 
         return f
 
+    def weighted_scatter(w):
+        return lambda a: (scatter_rows(a, np.array([0, 1, 3]), (2, 3)) * w).sum()
+
     return {
         "matmul": (lambda a, b: matmul(a, b).sum(), [t((3, 4)), t((4, 2))]),
         "matmul_batched": (lambda a, b: matmul(a, b).mean(), [t((2, 3, 4)), t((4, 2))]),
@@ -731,5 +773,10 @@ def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
         "linear": (
             through_frozen(Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, (2,)))),
             [t((2, 3, 4)), t((4, 3)), t((3,))],
+        ),
+        "scatter_rows": (weighted_scatter(rng.normal(0, 1, (2, 3, 2))), [t((3, 2))]),
+        "gather_rows": (
+            lambda a: (gather_rows(a, np.array([4, 0, 2])) * gather_rows(a, np.array([4, 0, 2]))).sum(),
+            [t((2, 3, 2))],
         ),
     }

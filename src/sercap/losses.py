@@ -45,7 +45,8 @@ def cross_entropy_smoothed(logits: Tensor, targets, pad_mask=None, label_smoothi
     V classes (including the reference class), so ``label_smoothing=0``
     recovers the standard cross-entropy.  ``targets`` holds next-token
     ids aligned with the logit rows; ``pad_mask`` is 1 for real
-    positions, 0 for padding.
+    positions, 0 for padding.  Only the real positions' logit rows enter
+    the log-softmax.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.shape[:-1] != targets.shape:
@@ -57,6 +58,10 @@ def cross_entropy_smoothed(logits: Tensor, targets, pad_mask=None, label_smoothi
     n_tokens = pad_mask.sum()
     if n_tokens == 0:
         raise ValueError("cross entropy over an all-pad batch")
+    if not pad_mask.all():
+        real = np.flatnonzero(pad_mask)
+        logits = ad.gather_rows(logits, real)
+        targets, pad_mask = targets.reshape(-1)[real], pad_mask.reshape(-1)[real]
     eps = label_smoothing
     logp = ad.log_softmax(logits, axis=-1)
     picked = ad.gather_last(logp, targets)

@@ -9,6 +9,10 @@ space used by the regression loss.  ``DecoderState`` runs the same
 eval-mode decoder one position at a time for beam search, caching each
 layer's attention keys and values.
 
+Both models run a padded batch in a packed layout (``_RealRows``):
+every position-wise op sees only the rows of the real positions, and
+the (B, L) layout exists only inside attention.
+
 The sentence encoder stands in for a pretrained sentence embedder: a
 token-embedding table plus a small transformer encoder body with mean
 pooling and a final projection.  Its parameters come from a fixed-seed
@@ -131,6 +135,43 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.transpose((0, 2, 1, 3)).reshape(b, l, h * dh)
 
 
+class _RealRows:
+    """Where the real positions of a (B, L) batch sit, for the packed layout.
+
+    Position-wise ops (linear maps, layer norms, residual adds, GELU,
+    dropout) run on the ``(N, d)`` rows of the N real positions in
+    row-major order.  Attention unpacks its inputs into the ``(B, L, d)``
+    layout, pad rows zero, and packs its output again.  A pad row can
+    reach no real output: the decoder's pads trail its causal mask and
+    the encoder's are masked keys.  A batch with no pads keeps the
+    ``(B, L, d)`` layout, which packing and unpacking return as is.
+    """
+
+    def __init__(self, real: np.ndarray):
+        self.lead = real.shape
+        self.index = None if real.all() else np.flatnonzero(real)
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """The real entries of an array whose leading axes are (B, L)."""
+        return a if self.index is None else a.reshape(-1, *a.shape[2:])[self.index]
+
+    def positions(self, table: np.ndarray) -> np.ndarray:
+        """The rows of a per-position table that the real rows read."""
+        n = self.lead[1]
+        return table[:n] if self.index is None else table[self.index % n]
+
+    def pack(self, x: Tensor) -> Tensor:
+        return x if self.index is None else ad.gather_rows(x, self.index)
+
+    def unpack(self, x: Tensor) -> Tensor:
+        return x if self.index is None else ad.scatter_rows(x, self.index, self.lead)
+
+    def dropout(self, x: Tensor, p, training, rng) -> Tensor:
+        """Dropout with the masks, and the generator stream, of the
+        ``(B, L, d)`` layout."""
+        return ad.dropout(x, p, training, rng, rows=None if self.index is None else (self.index, self.lead))
+
+
 def _attention(q: Tensor, k: Tensor, v: Tensor, mask, p_drop, training, rng) -> Tensor:
     dh = q.shape[-1]
     scores = ad.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
@@ -209,7 +250,9 @@ class CaptionerModel:
 
         ``memory`` is the projected feature sequence, (T, d_model) or
         (B, T, d_model); ``tokens`` is (L,) or (B, L) int ids starting
-        with bos (trailing pad allowed in batches).
+        with bos, each row's pads (if any) after its real tokens, as
+        ``pad_sequences`` lays them out.  Only the real tokens run through
+        the position-wise layers; both outputs are zero at pad positions.
         """
         training = self.training if training is None else training
         p = self.config.dropout
@@ -228,21 +271,26 @@ class CaptionerModel:
             raise ValueError(f"sequence length {L} exceeds max_len+1")
         if not np.all(tokens[:, 0] == BOS_ID):
             raise ValueError("teacher-forced input must start with bos")
+        real = tokens != PAD_ID
+        if np.any(real[:, 1:] > real[:, :-1]):
+            raise ValueError("a pad comes before a real token; pads must trail each row")
+        rows = _RealRows(real)
 
-        x = ad.embedding_lookup(self.params["embed.table"], tokens) * np.sqrt(self.config.d_model)
-        x = x + Tensor(self._posenc[:L])
-        x = ad.dropout(x, p, training, rng)
+        x = ad.embedding_lookup(self.params["embed.table"], rows.take(tokens)) * np.sqrt(self.config.d_model)
+        x = x + Tensor(rows.positions(self._posenc))
+        x = rows.dropout(x, p, training, rng)
         causal = _causal_mask(L)
 
         for i in range(self.config.decoder_layers):
-            x = self._layer(i, x, memory, causal, p, training, rng)
+            x = self._layer(i, x, memory, causal, p, training, rng, rows)
         logits = ad.linear(x, self.params["classifier.W"], self.params["classifier.b"])
+        x, logits = rows.unpack(x), rows.unpack(logits)
         if squeeze:
             return DecoderOutput(x.reshape(*x.shape[1:]), logits.reshape(*logits.shape[1:]))
         return DecoderOutput(x, logits)
 
-    def _layer(self, i, x, memory, causal, p, training, rng, state=None) -> Tensor:
-        """One post-LN decoder block.
+    def _layer(self, i, x, memory, causal, p, training, rng, rows: _RealRows, state=None) -> Tensor:
+        """One post-LN decoder block over the packed rows ``x``.
 
         With a ``DecoderState``, ``x`` holds only each row's newest
         position: its self-attention keys and values join the state's
@@ -252,35 +300,38 @@ class CaptionerModel:
         pp = self.params
         h = self.config.heads
 
-        q = _split_heads(ad.linear(x, pp[f"dec{i}.self.Wq"], pp[f"dec{i}.self.bq"]), h)
-        k, v = self._kv(i, "self", x)
+        q = _split_heads(rows.unpack(ad.linear(x, pp[f"dec{i}.self.Wq"], pp[f"dec{i}.self.bq"])), h)
+        k, v = self._kv(i, "self", x, rows)
         if state is not None:
             k, v = state._extend_self(i, k, v)
-        sa = _merge_heads(_attention(q, k, v, causal, p, training, rng))
+        sa = rows.pack(_merge_heads(_attention(q, k, v, causal, p, training, rng)))
         sa = ad.linear(sa, pp[f"dec{i}.self.Wo"], pp[f"dec{i}.self.bo"])
-        x = ad.layer_norm(x + ad.dropout(sa, p, training, rng),
+        x = ad.layer_norm(x + rows.dropout(sa, p, training, rng),
                           pp[f"dec{i}.ln1.gamma"], pp[f"dec{i}.ln1.beta"])
 
-        q = _split_heads(ad.linear(x, pp[f"dec{i}.cross.Wq"], pp[f"dec{i}.cross.bq"]), h)
+        q = _split_heads(rows.unpack(ad.linear(x, pp[f"dec{i}.cross.Wq"], pp[f"dec{i}.cross.bq"])), h)
         k, v = self._kv(i, "cross", memory) if state is None else state._cross_rows[i]
-        ca = _merge_heads(_attention(q, k, v, None, p, training, rng))
+        ca = rows.pack(_merge_heads(_attention(q, k, v, None, p, training, rng)))
         ca = ad.linear(ca, pp[f"dec{i}.cross.Wo"], pp[f"dec{i}.cross.bo"])
-        x = ad.layer_norm(x + ad.dropout(ca, p, training, rng),
+        x = ad.layer_norm(x + rows.dropout(ca, p, training, rng),
                           pp[f"dec{i}.ln2.gamma"], pp[f"dec{i}.ln2.beta"])
 
         ff = ad.linear(x, pp[f"dec{i}.ff.W1"], pp[f"dec{i}.ff.b1"])
-        ff = ad.dropout(ad.gelu(ff), p, training, rng)
+        ff = rows.dropout(ad.gelu(ff), p, training, rng)
         ff = ad.linear(ff, pp[f"dec{i}.ff.W2"], pp[f"dec{i}.ff.b2"])
-        return ad.layer_norm(x + ad.dropout(ff, p, training, rng),
+        return ad.layer_norm(x + rows.dropout(ff, p, training, rng),
                              pp[f"dec{i}.ln3.gamma"], pp[f"dec{i}.ln3.beta"])
 
-    def _kv(self, i, blk: str, src: Tensor) -> tuple[Tensor, Tensor]:
-        """Split-head keys and values of layer ``i``'s ``blk`` attention."""
+    def _kv(self, i, blk: str, src: Tensor, rows: _RealRows | None = None) -> tuple[Tensor, Tensor]:
+        """Split-head keys and values of layer ``i``'s ``blk`` attention,
+        unpacked from ``rows`` when ``src`` is packed."""
         pp = self.params
         h = self.config.heads
-        k = _split_heads(ad.linear(src, pp[f"dec{i}.{blk}.Wk"], pp[f"dec{i}.{blk}.bk"]), h)
-        v = _split_heads(ad.linear(src, pp[f"dec{i}.{blk}.Wv"], pp[f"dec{i}.{blk}.bv"]), h)
-        return k, v
+        k = ad.linear(src, pp[f"dec{i}.{blk}.Wk"], pp[f"dec{i}.{blk}.bk"])
+        v = ad.linear(src, pp[f"dec{i}.{blk}.Wv"], pp[f"dec{i}.{blk}.bv"])
+        if rows is not None:
+            k, v = rows.unpack(k), rows.unpack(v)
+        return _split_heads(k, h), _split_heads(v, h)
 
     def decoder_state(self, memories) -> "DecoderState":
         """An incremental decoding state over (n, T, d_model) memories."""
@@ -364,8 +415,9 @@ class DecoderState:
         d = model.config.d_model
         x = ad.embedding_lookup(model.params["embed.table"], tokens[:, None]) * np.sqrt(d)
         x = x + Tensor(model._posenc[self.position : length])
+        rows = _RealRows(np.ones((len(tokens), 1), dtype=bool))
         for i in range(model.config.decoder_layers):
-            x = model._layer(i, x, None, None, 0.0, False, None, state=self)
+            x = model._layer(i, x, None, None, 0.0, False, None, rows, state=self)
         self.position = length
         logits = ad.linear(x, model.params["classifier.W"], model.params["classifier.b"])
         return logits.data[:, 0, :]
@@ -428,8 +480,10 @@ class SentenceEncoder:
         """Encode (B, L, d_sent) vectors, the embedding layer bypassed.
 
         Differentiable with respect to ``x``; the frozen body never
-        receives gradients.  ``pad_mask`` (B, L) excludes padding from
-        both attention keys and the mean pool.
+        receives gradients.  ``pad_mask`` (B, L) is 1 at real positions
+        and 0 at padding: only the real rows run through the position-wise
+        layers, and padding is excluded from the attention keys and the
+        mean pool.
         """
         b, l, _ = x.shape
         if l > self.MAX_POSITIONS:
@@ -440,14 +494,14 @@ class SentenceEncoder:
         if np.any(pad_mask.sum(axis=1) == 0):
             raise ValueError("cannot pool an all-pad sequence")
         attn_mask = np.where(pad_mask[:, None, None, :] > 0, 0.0, NEG_INF)
+        rows = _RealRows(pad_mask > 0)
 
-        x = x + Tensor(self._posenc[:l])
+        x = rows.pack(x) + Tensor(rows.positions(self._posenc))
         pp = self.params
         for i in range(self.layers):
-            q = _split_heads(ad.linear(x, pp[f"enc{i}.Wq"], pp[f"enc{i}.bq"]), self.heads)
-            k = _split_heads(ad.linear(x, pp[f"enc{i}.Wk"], pp[f"enc{i}.bk"]), self.heads)
-            v = _split_heads(ad.linear(x, pp[f"enc{i}.Wv"], pp[f"enc{i}.bv"]), self.heads)
-            sa = _merge_heads(_attention(q, k, v, attn_mask, 0.0, False, None))
+            q, k, v = (_split_heads(rows.unpack(ad.linear(x, pp[f"enc{i}.W{n}"], pp[f"enc{i}.b{n}"])),
+                                    self.heads) for n in "qkv")
+            sa = rows.pack(_merge_heads(_attention(q, k, v, attn_mask, 0.0, False, None)))
             sa = ad.linear(sa, pp[f"enc{i}.Wo"], pp[f"enc{i}.bo"])
             x = ad.layer_norm(x + sa, pp[f"enc{i}.ln1.gamma"], pp[f"enc{i}.ln1.beta"])
             ff = ad.linear(ad.gelu(ad.linear(x, pp[f"enc{i}.ff.W1"], pp[f"enc{i}.ff.b1"])),
@@ -455,7 +509,7 @@ class SentenceEncoder:
             x = ad.layer_norm(x + ff, pp[f"enc{i}.ln2.gamma"], pp[f"enc{i}.ln2.beta"])
 
         counts = pad_mask.sum(axis=1, keepdims=True)
-        pooled = (x * Tensor(pad_mask[:, :, None])).sum(axis=1) * Tensor(1.0 / counts)
+        pooled = rows.unpack(x).sum(axis=1) * Tensor(1.0 / counts)
         return ad.linear(pooled, pp["proj.W"], pp["proj.b"])
 
     def embed_tokens(self, tokens, pad_mask=None) -> Tensor:

@@ -160,9 +160,3 @@ class AdamW:
             out.append((name + "/m", self.state[name]["m"]))
             out.append((name + "/v", self.state[name]["v"]))
         return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        self.step_count = step_count
-        for name, st in self.state.items():
-            st["m"] = np.array(arrays[name + "/m"], dtype=np.float64)
-            st["v"] = np.array(arrays[name + "/v"], dtype=np.float64)

@@ -208,6 +208,45 @@ class TestDropout:
         assert x.grad.tobytes() == (upstream * keep).tobytes()
 
 
+class TestRowOps:
+    def test_scatter_places_rows_and_zero_fills(self):
+        x = rand((3, 2), seed=50)
+        out = ad.scatter_rows(x, np.array([0, 1, 3]), (2, 3))
+        assert out.shape == (2, 3, 2)
+        np.testing.assert_array_equal(out.data.reshape(6, 2)[[0, 1, 3]], x.data)
+        assert not out.data.reshape(6, 2)[[2, 4, 5]].any()
+
+    def test_each_vjp_is_the_other_op(self):
+        index = np.array([4, 0, 2])
+        x, y = rand((3, 2), seed=51), rand((2, 3, 2), seed=52)
+        gx, gy = np.random.default_rng(53).normal(0, 1, (2, 3, 2)), np.random.default_rng(54).normal(0, 1, (3, 2))
+        with Tape() as tape:
+            loss = (ad.scatter_rows(x, index, (2, 3)) * Tensor(gx)).sum() + (ad.gather_rows(y, index) * Tensor(gy)).sum()
+        tape.backward(loss)
+        assert x.grad.tobytes() == ad.gather_rows(Tensor(gx), index).data.tobytes()
+        assert y.grad.tobytes() == ad.scatter_rows(Tensor(gy), index, (2, 3)).data.tobytes()
+
+    def test_gather_undoes_scatter(self):
+        x = rand((3, 4), seed=55)
+        index = np.array([1, 2, 5])
+        assert ad.gather_rows(ad.scatter_rows(x, index, (3, 2)), index).data.tobytes() == x.data.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["scatter_rows", "gather_rows"])
+    def test_gradcheck_cases(self, name, seed):
+        f, inputs = ad.gradcheck_cases(np.random.default_rng(seed))[name]
+        assert ad.grad_check(f, inputs, eps=1e-5, rtol=1e-4).passed
+
+    def test_row_dropout_keeps_the_whole_arrays_masks_and_stream(self):
+        x = rand((2, 3, 4), seed=56)
+        index = np.array([0, 1, 3])
+        rng_full, rng_rows = np.random.default_rng(57), np.random.default_rng(57)
+        full = ad.dropout(x, 0.3, True, rng_full)
+        rows = ad.dropout(ad.gather_rows(x, index), 0.3, True, rng_rows, rows=(index, (2, 3)))
+        assert rows.data.tobytes() == full.data.reshape(6, 4)[index].tobytes()
+        assert rng_rows.bit_generator.state == rng_full.bit_generator.state
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = rand((2, 3), seed=10)

@@ -312,16 +312,14 @@ class TestResume:
 
 def resave(src: Path, dst: Path, corrupt=None) -> None:
     """Write the state loaded from checkpoint ``src`` to ``dst``, after
-    ``corrupt(model)`` when given."""
-    ckpt = load_checkpoint(src)
+    ``corrupt(model)`` when given.  The moments are read as ``train``
+    reads them on a resume."""
     model, encoder, vocab, sent_vocab, config = restore_model(src)
-    from sercap.optim import AdamW, make_param_groups
-
-    opt = AdamW(make_param_groups(model.named_params()), config.optim)
-    opt.load_state_arrays(
-        {n[len("optim/"):]: a for n, a in ckpt["array_data"].items() if n.startswith("optim/")},
-        ckpt["step_count"],
-    )
+    opt = optim.AdamW(optim.make_param_groups(model.named_params()), config.optim)
+    with harness.CheckpointReader(src) as ckpt:
+        ckpt.read_into({"optim/" + k: a for k, a in opt.state_arrays()})
+    header = ckpt.header
+    opt.step_count = header["step_count"]
     if corrupt is not None:
         corrupt(model)
     save_checkpoint(
@@ -331,11 +329,11 @@ def resave(src: Path, dst: Path, corrupt=None) -> None:
         optimizer=opt,
         vocab=vocab,
         sent_vocab=sent_vocab,
-        epoch=ckpt["epoch"],
-        best_fense=ckpt["best_fense"],
-        best_epoch=ckpt["best_epoch"],
-        rng_states=ckpt["rng"],
-        fense_history=ckpt["fense_history"],
+        epoch=header["epoch"],
+        best_fense=header["best_fense"],
+        best_epoch=header["best_epoch"],
+        rng_states=header["rng"],
+        fense_history=header["fense_history"],
     )
 
 
@@ -448,6 +446,27 @@ class TestCheckpointReader:
             t.data[...] = 0.0
         harness.load_params(model, res.last_ckpt)
         assert params_bytes(model) == params_bytes(restored)
+
+    def test_optimizer_moments_roundtrip_bitwise(self, tmp_path):
+        cfg = tiny_config()
+        exp = build_experiment(cfg)
+        opt = optim.AdamW(optim.make_param_groups(exp.model.named_params()), cfg.optim)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            for _, t in exp.model.named_params():
+                t.grad = rng.normal(0, 1, t.shape)
+            opt.step(lr=1e-3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, config=cfg, model=exp.model, optimizer=opt, vocab=exp.vocab,
+                        sent_vocab=exp.sent_vocab, epoch=1, best_fense=0.0, best_epoch=-1,
+                        rng_states={})
+        fresh = optim.AdamW(optim.make_param_groups(exp.model.named_params()), cfg.optim)
+        with harness.CheckpointReader(path) as ckpt:
+            ckpt.read_into({"optim/" + k: a for k, a in fresh.state_arrays()})
+        assert ckpt.header["step_count"] == opt.step_count
+        for (k1, a1), (k2, a2) in zip(opt.state_arrays(), fresh.state_arrays()):
+            assert k1 == k2
+            assert a1.tobytes() == a2.tobytes()
 
     def test_cut_inside_skipped_optimizer_section(self, tmp_path):
         src = untrained_checkpoint(tmp_path / "m.ckpt")

@@ -136,6 +136,105 @@ class TestDecodeTeacherForced:
         assert report.passed, report.max_rel_error
 
 
+class TestPackedLayout:
+    """Padded batches run their position-wise layers on the real rows only."""
+
+    SEQS = [[BOS_ID, 4, 5, 6, 4], [BOS_ID, 6], [BOS_ID, 3, 4, 5], [BOS_ID, 5, 5]]
+
+    def padded(self, model, seed):
+        rng = np.random.default_rng(seed)
+        feats = np.stack([features(rng) for _ in self.SEQS])
+        ids, mask = pad_sequences(self.SEQS)
+        return feats, ids, mask
+
+    def test_padded_decode_equals_each_caption_alone(self, model):
+        feats, ids, mask = self.padded(model, 30)
+        out = model.decode_teacher_forced(model.encode_project(feats), ids)
+        for i, seq in enumerate(self.SEQS):
+            n = len(seq)
+            alone = model.decode_teacher_forced(model.encode_project(feats[i]), np.array(seq))
+            np.testing.assert_allclose(out.logits.data[i, :n], alone.logits.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.token_embeddings.data[i, :n], alone.token_embeddings.data,
+                                       rtol=0, atol=1e-12)
+        assert not out.logits.data[mask == 0].any()
+        assert not out.token_embeddings.data[mask == 0].any()
+
+    def test_padded_encoder_equals_each_row_alone(self, encoder):
+        _, _, mask = self.padded(None, 31)
+        x = np.random.default_rng(32).normal(0, 1, mask.shape + (12,))
+        batch = encoder.embed_vectors(Tensor(x), mask).data
+        for i, n in enumerate(mask.sum(axis=1).astype(int)):
+            alone = encoder.embed_vectors(Tensor(x[i : i + 1, :n])).data[0]
+            np.testing.assert_allclose(batch[i], alone, rtol=0, atol=1e-12)
+
+    def test_padded_loss_gradient_equals_per_caption_forwards(self, model, encoder):
+        model.train_mode()  # dropout 0: the training path, deterministic
+        feats, ids, mask = self.padded(model, 33)
+        tgt_ids, _ = pad_sequences([seq[1:] + [EOS_ID] for seq in self.SEQS])
+        target = Tensor(np.random.default_rng(34).normal(0, 1, (len(self.SEQS), 12)))
+        n_tokens = mask.sum()
+
+        def padded_loss():
+            out = model.decode_teacher_forced(model.encode_project(feats), ids)
+            ce = losses.cross_entropy_smoothed(out.logits, tgt_ids, mask, 0.1)
+            pred = encoder.embed_vectors(model.ser_project(out.token_embeddings), mask)
+            return losses.combined_loss(ce, losses.smooth_l1(pred, target), 100.0)
+
+        def per_caption_loss():
+            ce, preds = 0.0, []
+            for i, seq in enumerate(self.SEQS):
+                n = len(seq)
+                out = model.decode_teacher_forced(model.encode_project(feats[i]), np.array(seq))
+                ce = ce + losses.cross_entropy_smoothed(out.logits, tgt_ids[i, :n], None, 0.1) * (n / n_tokens)
+                preds.append(encoder.embed_vectors(model.ser_project(out.token_embeddings.reshape(1, n, 8))))
+            return losses.combined_loss(ce, losses.smooth_l1(ad.concat(preds, axis=0), target), 100.0)
+
+        def gradients(loss_fn):
+            for _, t in model.named_params():
+                t.grad = None
+            with Tape() as tape:
+                loss = loss_fn()
+            tape.backward(loss)
+            return loss.item(), np.concatenate([t.grad.reshape(-1) for _, t in model.named_params()])
+
+        loss_a, grad_a = gradients(padded_loss)
+        loss_b, grad_b = gradients(per_caption_loss)
+        assert abs(loss_a - loss_b) <= 1e-12 * abs(loss_b)
+        assert np.abs(grad_a - grad_b).max() <= 1e-10 * np.abs(grad_b).max()
+
+    def test_pad_before_a_real_token_rejected(self, model):
+        mem = model.encode_project(np.zeros((2, 3, 5)))
+        tokens = np.array([[BOS_ID, 4, 5], [BOS_ID, PAD_ID, 5]])
+        with pytest.raises(ValueError, match="pad"):
+            model.decode_teacher_forced(mem, tokens)
+
+    def test_training_forward_draws_the_padded_shapes(self):
+        cfg = tiny_config(dropout=0.2)
+        m = CaptionerModel(cfg, seed=4)
+        feats, ids, _ = self.padded(m, 35)
+        rng = np.random.default_rng(36)
+        m.decode_teacher_forced(m.encode_project(feats), ids, rng=rng)
+        (b, n), t, d, h = ids.shape, feats.shape[1], cfg.d_model, cfg.heads
+        want = np.random.default_rng(36)
+        want.random((b, n, d))
+        for _ in range(cfg.decoder_layers):
+            for shape in [(b, h, n, n), (b, n, d), (b, h, n, t), (b, n, d), (b, n, cfg.d_ff), (b, n, d)]:
+                want.random(shape)
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_unpadded_batches_take_no_row_ops(self, model, encoder, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("row op on a batch without pads")
+
+        monkeypatch.setattr(ad, "gather_rows", refuse)
+        monkeypatch.setattr(ad, "scatter_rows", refuse)
+        mems = model.encode_project(np.zeros((2, 3, 5))).data
+        model.decode_teacher_forced(mems, np.array([[BOS_ID, 4, 5], [BOS_ID, 6, 4]]))
+        model.decoder_state(mems).step([BOS_ID] * 2, [0, 1], [0, 1])
+        encoder.embed_tokens(np.array([[1, 4, 2], [1, 5, 2]]))
+        encoder.embed_tokens(np.array([[1, 4, 2]]), np.ones((1, 3)))
+
+
 class TestStepLogits:
     def test_matches_last_teacher_forced_row(self, model):
         rng = np.random.default_rng(6)
