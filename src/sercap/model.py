@@ -169,7 +169,8 @@ class _RealRows:
     def dropout(self, x: Tensor, p, training, rng) -> Tensor:
         """Dropout with the masks, and the generator stream, of the
         ``(B, L, d)`` layout."""
-        return ad.dropout(x, p, training, rng, rows=None if self.index is None else (self.index, self.lead))
+        rows = None if self.index is None else (self.index, self.lead)
+        return ad.dropout(x, p, training, rng, rows=rows)
 
 
 def _attention(q: Tensor, k: Tensor, v: Tensor, mask, p_drop, training, rng) -> Tensor:
@@ -276,8 +277,8 @@ class CaptionerModel:
             raise ValueError("a pad comes before a real token; pads must trail each row")
         rows = _RealRows(real)
 
-        x = ad.embedding_lookup(self.params["embed.table"], rows.take(tokens)) * np.sqrt(self.config.d_model)
-        x = x + Tensor(rows.positions(self._posenc))
+        x = ad.embedding_lookup(self.params["embed.table"], rows.take(tokens))
+        x = x * np.sqrt(self.config.d_model) + Tensor(rows.positions(self._posenc))
         x = rows.dropout(x, p, training, rng)
         causal = _causal_mask(L)
 

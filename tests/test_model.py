@@ -141,14 +141,14 @@ class TestPackedLayout:
 
     SEQS = [[BOS_ID, 4, 5, 6, 4], [BOS_ID, 6], [BOS_ID, 3, 4, 5], [BOS_ID, 5, 5]]
 
-    def padded(self, model, seed):
+    def padded(self, seed):
         rng = np.random.default_rng(seed)
         feats = np.stack([features(rng) for _ in self.SEQS])
         ids, mask = pad_sequences(self.SEQS)
         return feats, ids, mask
 
     def test_padded_decode_equals_each_caption_alone(self, model):
-        feats, ids, mask = self.padded(model, 30)
+        feats, ids, mask = self.padded(30)
         out = model.decode_teacher_forced(model.encode_project(feats), ids)
         for i, seq in enumerate(self.SEQS):
             n = len(seq)
@@ -160,7 +160,7 @@ class TestPackedLayout:
         assert not out.token_embeddings.data[mask == 0].any()
 
     def test_padded_encoder_equals_each_row_alone(self, encoder):
-        _, _, mask = self.padded(None, 31)
+        _, _, mask = self.padded(31)
         x = np.random.default_rng(32).normal(0, 1, mask.shape + (12,))
         batch = encoder.embed_vectors(Tensor(x), mask).data
         for i, n in enumerate(mask.sum(axis=1).astype(int)):
@@ -169,7 +169,7 @@ class TestPackedLayout:
 
     def test_padded_loss_gradient_equals_per_caption_forwards(self, model, encoder):
         model.train_mode()  # dropout 0: the training path, deterministic
-        feats, ids, mask = self.padded(model, 33)
+        feats, ids, mask = self.padded(33)
         tgt_ids, _ = pad_sequences([seq[1:] + [EOS_ID] for seq in self.SEQS])
         target = Tensor(np.random.default_rng(34).normal(0, 1, (len(self.SEQS), 12)))
         n_tokens = mask.sum()
@@ -211,7 +211,7 @@ class TestPackedLayout:
     def test_training_forward_draws_the_padded_shapes(self):
         cfg = tiny_config(dropout=0.2)
         m = CaptionerModel(cfg, seed=4)
-        feats, ids, _ = self.padded(m, 35)
+        feats, ids, _ = self.padded(35)
         rng = np.random.default_rng(36)
         m.decode_teacher_forced(m.encode_project(feats), ids, rng=rng)
         (b, n), t, d, h = ids.shape, feats.shape[1], cfg.d_model, cfg.heads
