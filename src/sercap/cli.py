@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ConfigError, ExperimentConfig, apply_settings, parse_config
 from .data import EventGrammar, dataset_stats, generate_split, load_features, save_captions, save_features
-from .harness import (NanLossError, build_decode_config, decode_split, plot_curves, restore_model,
-                      run_ablation, sentence_embedder, train)
+from .harness import (NanLossError, decode_split, plot_curves, restore_model, run_ablation,
+                      sentence_embedder, train)
 from .metrics import EvalItem, FluencyLexicons, evaluate_corpus
 from .model import SentenceEncoder
 from .text import build_vocab, detokenize
@@ -59,7 +59,7 @@ def _cmd_decode(args) -> int:
     model, _, vocab, _, config = restore_model(args.checkpoint)
     apply_settings(config, [("--set", raw) for raw in args.set], prefix="decode.")
     features = load_features(args.features)
-    hyps = decode_split(model, features, build_decode_config(config), vocab)
+    hyps = decode_split(model, features, config.decode, vocab)
     lines = [detokenize(h.tokens, vocab) for h in hyps]
     sidecar = [{"index": i, "caption": caption, "log_prob": h.log_prob, "tokens": h.tokens}
                for i, (caption, h) in enumerate(zip(lines, hyps))]

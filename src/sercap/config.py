@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .decoding import DecodeConfig
 from .losses import LossConfig
 from .model import ModelConfig
 from .optim import OptimConfig
@@ -42,23 +43,11 @@ class CorpusConfig:
 
 
 @dataclass
-class DecodeSettings:
-    beam_size: int = 2
-    min_len: int = 3
-    max_len: int = 30
-    stopwords_file: str = ""  # empty = shipped list
-
-    def validate(self) -> None:
-        if self.beam_size < 1 or not 1 <= self.min_len <= self.max_len:
-            raise ValueError("invalid decode settings")
-
-
-@dataclass
 class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     optim: OptimConfig = field(default_factory=OptimConfig)
-    decode: DecodeSettings = field(default_factory=DecodeSettings)
+    decode: DecodeConfig = field(default_factory=DecodeConfig)
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     tokenizer: str = "word"  # word | subword
     subword_vocab_size: int = 512
@@ -111,7 +100,6 @@ _KEYMAP: dict[str, tuple[str, str]] = {
     "decode.beam": ("decode", "beam_size"),
     "decode.min_len": ("decode", "min_len"),
     "decode.max_len": ("decode", "max_len"),
-    "decode.stopwords_file": ("decode", "stopwords_file"),
     "corpus.grammar_seed": ("corpus", "grammar_seed"),
     "corpus.seed": ("corpus", "seed"),
     "corpus.n_train": ("corpus", "n_train"),
@@ -198,11 +186,17 @@ def to_manifest(cfg: ExperimentConfig) -> dict:
 
 
 def from_manifest(manifest: dict) -> ExperimentConfig:
+    """The config a checkpoint header records.  A key this version cannot
+    apply raises ``ConfigError`` naming it."""
     cfg = ExperimentConfig()
     for key, value in manifest.items():
         if key == "model.vocab_size":
             cfg.model.vocab_size = int(value)
             continue
+        if key == "decode.stopwords_file" and value == "":
+            continue  # removed key; empty meant the shipped list, the only one now
+        if key not in _KEYMAP:
+            raise ConfigError(f"checkpoint config key {key}={value!r} is not supported")
         section, attr = _KEYMAP[key]
         target = cfg if section == "" else getattr(cfg, section)
         setattr(target, attr, value)

@@ -31,6 +31,9 @@ class DecodeConfig:
     stopwords: frozenset[str] = field(default_factory=load_stopwords)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if not 1 <= self.min_len <= self.max_len:

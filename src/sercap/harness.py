@@ -33,7 +33,7 @@ from .metrics import (EvalItem, FluencyLexicons, MetricReport, evaluate_corpus, 
                       has_fluency_error, sbert_metric)
 from .model import CaptionerModel, SentenceEncoder, pad_sequences
 from .optim import AdamW, clip_global_norm, cosine_lr, make_param_groups
-from .text import Vocabulary, build_vocab, detokenize, load_stopwords, subword_tokenize, tokenize
+from .text import Vocabulary, build_vocab, detokenize, subword_tokenize, tokenize
 
 CKPT_MAGIC = b"SCKP"
 CKPT_VERSION = 1
@@ -109,7 +109,7 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
         sent_vocab=sent_vocab,
         model=model,
         encoder=encoder,
-        decode_cfg=build_decode_config(config),
+        decode_cfg=config.decode,
         lexicons=FluencyLexicons.default(),
     )
 
@@ -125,13 +125,6 @@ def build_models(config: ExperimentConfig, vocab: Vocabulary,
     encoder = SentenceEncoder(sent_vocab.size, d_sent=m.d_sent, layers=m.sent_layers,
                               heads=m.sent_heads, seed=m.sent_seed)
     return model, encoder
-
-
-def build_decode_config(config: ExperimentConfig) -> DecodeConfig:
-    """The beam-search settings of ``config``, with its stopword list loaded."""
-    d = config.decode
-    return DecodeConfig(beam_size=d.beam_size, min_len=d.min_len, max_len=d.max_len,
-                        stopwords=load_stopwords(d.stopwords_file or None))
 
 
 class SentenceEmbedder:

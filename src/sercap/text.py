@@ -186,9 +186,9 @@ def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
     return subword_detokenize(ids, vocab)
 
 
-def load_wordlist(name: str, path: str | Path | None = None) -> frozenset[str]:
-    """Load one of the shipped wordlists (or an override file)."""
-    path = Path(path) if path is not None else _WORDLIST_DIR / f"{name}.txt"
+def load_wordlist(name: str) -> frozenset[str]:
+    """Load one of the shipped wordlists."""
+    path = _WORDLIST_DIR / f"{name}.txt"
     words = set()
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -199,5 +199,5 @@ def load_wordlist(name: str, path: str | Path | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    return load_wordlist("stopwords", path)
+def load_stopwords() -> frozenset[str]:
+    return load_wordlist("stopwords")

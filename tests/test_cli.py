@@ -138,6 +138,20 @@ class TestTrainDecode:
             emitted = len(rec["tokens"]) - 2  # minus bos/eos
             assert 2 <= emitted <= 4
 
+    def test_decode_rejects_min_len_above_max_len(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "run.cfg")
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        out = tmp_path / "decoded.txt"
+        rc = main([
+            "decode", "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+            "--features", str(tmp_path / "none.bin"),
+            "--out", str(out), "--set", "decode.min_len=5", "--set", "decode.max_len=4",
+        ])
+        assert rc == 2
+        assert "min_len <= max_len" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def _write_inputs(self, tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sercap.config import (
+    ConfigError,
     ExperimentConfig,
     clone,
     from_manifest,
@@ -97,6 +98,13 @@ def test_decode_max_len_cannot_exceed_model(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("decode.max_len=40\nmodel.max_len=30\n")
     with pytest.raises(ValueError):
+        parse_config(p)
+
+
+def test_decode_min_len_cannot_exceed_max_len(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("decode.min_len=5\ndecode.max_len=4\n")
+    with pytest.raises(ConfigError, match="min_len <= max_len"):
         parse_config(p)
 
 

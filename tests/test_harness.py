@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from sercap import autodiff, blas, data, decoding, harness, metrics, model, optim
-from sercap.config import ExperimentConfig, clone, to_manifest
+from sercap.cli import main
+from sercap.config import ConfigError, ExperimentConfig, clone, to_manifest
+from sercap.decoding import DecodeConfig
 from sercap.harness import (
     CURVE_COLUMNS,
     CurveRow,
@@ -29,7 +31,7 @@ from sercap.harness import (
     train,
     write_curve,
 )
-from sercap.text import BOS_ID, subword_tokenize
+from sercap.text import BOS_ID, load_stopwords, subword_tokenize
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -157,6 +159,23 @@ class TestBenchmarkHooks:
         for owner, names in self.NAMES.items():
             for name in names:
                 assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+    def test_decode_config_constructor(self):
+        cfg = DecodeConfig(beam_size=3, min_len=2, max_len=5, stopwords=load_stopwords())
+        assert (cfg.beam_size, cfg.min_len, cfg.max_len) == (3, 2, 5)
+        assert type(ExperimentConfig().decode) is DecodeConfig
+
+    def test_experiment_decodes_with_the_config_section(self):
+        cfg = tiny_config()
+        assert build_experiment(cfg).decode_cfg is cfg.decode
+
+    def test_decode_fields_set_later_are_revalidated(self):
+        cfg = tiny_config()
+        cfg.decode.max_len = cfg.decode.min_len  # as the pinned-length workloads set it
+        assert build_experiment(cfg).decode_cfg.max_len == cfg.decode.min_len
+        cfg.decode.max_len = cfg.decode.min_len - 1
+        with pytest.raises(ValueError, match="min_len <= max_len"):
+            build_experiment(cfg)
 
 
 class TestTrain:
@@ -337,6 +356,18 @@ def resave(src: Path, dst: Path, corrupt=None) -> None:
     )
 
 
+def edit_header(src: Path, dst: Path, edit) -> Path:
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(header)`` applied to
+    its JSON header; the arrays are copied unchanged."""
+    raw = src.read_bytes()
+    header_len = struct.unpack("<IQ", raw[4:16])[1]
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + header_len :])
+    return dst
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         res = train(tiny_config(), tmp_path / "run")
@@ -389,16 +420,40 @@ class TestCheckpoint:
 
     def test_header_without_fense_history_reads_empty(self, tmp_path):
         res = train(tiny_config(), tmp_path / "run")
-        raw = res.last_ckpt.read_bytes()
-        header_len = struct.unpack("<IQ", raw[4:16])[1]
-        header = json.loads(raw[16 : 16 + header_len])
-        assert len(header.pop("fense_history")) == 2
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        old = tmp_path / "old.ckpt"
-        old.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + header_len :])
+
+        def drop_history(header):
+            assert len(header.pop("fense_history")) == 2
+
+        old = edit_header(res.last_ckpt, tmp_path / "old.ckpt", drop_history)
         assert load_checkpoint(old)["fense_history"] == []
         restored, *_ = restore_model(old)
         assert params_bytes(restored) == params_bytes(res.experiment.model)
+
+    def test_header_with_empty_stopwords_file_restores(self, tmp_path):
+        # every checkpoint written before decode.stopwords_file was removed
+        # records it, empty unless the run named an outside stopword list
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        old = edit_header(src, tmp_path / "old.ckpt",
+                          lambda header: header["config"].update({"decode.stopwords_file": ""}))
+        want_model, _, _, _, want = restore_model(src)
+        restored, _, _, _, config = restore_model(old)
+        assert to_manifest(config) == to_manifest(want)
+        assert params_bytes(restored) == params_bytes(want_model)
+
+    @pytest.mark.parametrize("key, value", [("decode.stopwords_file", "mystop.txt"),
+                                            ("model.width", 12)])
+    def test_header_with_unsupported_key_is_a_config_error(self, tmp_path, capsys, key, value):
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        old = edit_header(src, tmp_path / "old.ckpt",
+                          lambda header: header["config"].update({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            restore_model(old)
+        out = tmp_path / "decoded.txt"
+        rc = main(["decode", "--checkpoint", str(old), "--features", str(tmp_path / "none.bin"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"

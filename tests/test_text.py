@@ -140,8 +140,3 @@ class TestStopwords:
         sw = text.load_stopwords()
         for w in ("a", "the", "and", "is", "while"):
             assert w in sw
-
-    def test_custom_file(self, tmp_path):
-        p = tmp_path / "sw.txt"
-        p.write_text("foo\nbar\n")
-        assert text.load_stopwords(p) == frozenset({"foo", "bar"})
