@@ -23,6 +23,7 @@ batch between a packed ``(N, d)`` array and the padded layout.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,15 @@ class Tensor:
         return permute(self, axes)
 
 
-_TAPE_STACK: list["Tape"] = []
+class _Tapes(threading.local):
+    """Open tapes, one stack per thread: an op run on another thread never
+    records onto the tape a caller has open."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_TAPES = _Tapes()
 
 
 class _Cell:
@@ -146,11 +155,11 @@ class Tape:
     _token: object = field(default_factory=object, repr=False)
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _TAPE_STACK.pop()
+        _TAPES.stack.pop()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -200,7 +209,8 @@ class Tape:
 
 
 def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -155,23 +155,29 @@ def sentence_embedder(encoder: SentenceEncoder, sent_vocab: Vocabulary) -> Sente
     return SentenceEmbedder(encoder, sent_vocab)
 
 
+# the fixed cost of one embed_tokens call, in caption tokens: about what a
+# call on the default 768-wide encoder spends outside its per-token work
+_EMBED_CALL_TOKENS = 16
+
+
 def _embed_captions_batch(encoder, sent_vocab, captions, chunk=64) -> dict[str, np.ndarray]:
     """Embed unique captions; returns a caption->vector map.
 
     Captions of equal subword length run together, at most ``chunk`` rows
     per ``embed_tokens`` call, so no row is padded.  A caption alone in
     its group is a one-row batch, which gives the same vector bit for bit
-    as ``embed_tokens`` on its 1-D ids.
+    as ``embed_tokens`` on its 1-D ids.  The groups are independent, so
+    ``blas.split_run`` shares them between two CPUs by token count.
     """
     ids = {c: subword_tokenize(c, sent_vocab) for c in set(captions)}
     order = sorted(ids, key=lambda c: (len(ids[c]), c))
-    out: dict[str, np.ndarray] = {}
+    groups = []
     for _, same_len in itertools.groupby(order, key=lambda c: len(ids[c])):
         same_len = list(same_len)
-        for i in range(0, len(same_len), chunk):
-            group = same_len[i : i + chunk]
-            out.update(zip(group, encoder.embed_tokens([ids[c] for c in group]).data))
-    return out
+        groups += [same_len[i : i + chunk] for i in range(0, len(same_len), chunk)]
+    vectors = blas.split_run(lambda group: encoder.embed_tokens([ids[c] for c in group]).data, groups,
+                             weight=lambda group: len(group) * len(ids[group[0]]) + _EMBED_CALL_TOKENS)
+    return {c: v for group, rows in zip(groups, vectors) for c, v in zip(group, rows)}
 
 
 def _teacher_forcing_batch(token_seqs: list[list[int]]):
@@ -384,8 +390,9 @@ def restore_model(path: str | Path) -> tuple[CaptionerModel, SentenceEncoder, Vo
 
 
 def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
-    """Eval-mode CE over every (clip, reference) pair, then beam decode
-    for the sentence-similarity and FENSE numbers."""
+    """Beam decode of every validation clip, eval-mode CE over every
+    (clip, reference) pair, then the decoded captions' sentence-similarity
+    and FENSE numbers."""
     model, cfg = exp.model, exp.config
     model.eval_mode()
 
@@ -399,17 +406,26 @@ def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
         for clip in exp.val_clips
         for _ in clip.captions
     ])
-    ce_num, ce_den = 0.0, 0.0
-    for i in range(0, len(pairs), cfg.batch_size):
-        in_ids, tgt_ids, mask = _teacher_forcing_batch(pairs[i : i + cfg.batch_size])
-        mem = model.encode_project(feats[i : i + cfg.batch_size])
+    # the decode runs BLAS on one thread: done first, it gives the OpenBLAS
+    # worker that spins on after the last training step's products time to
+    # go idle before the split CE below wants that CPU
+    hyps = decode_split(model, [clip.features for clip in exp.val_clips], exp.decode_cfg, exp.vocab)
+    batches = [slice(i, i + cfg.batch_size) for i in range(0, len(pairs), cfg.batch_size)]
+
+    def batch_ce(rows: slice):
+        in_ids, tgt_ids, mask = _teacher_forcing_batch(pairs[rows])
+        mem = model.encode_project(feats[rows])
         out = model.decode_teacher_forced(mem, in_ids, training=False)
         ce = cross_entropy_smoothed(out.logits, tgt_ids, mask, cfg.loss.label_smoothing)
-        ce_num += ce.item() * mask.sum()
-        ce_den += mask.sum()
+        return ce.item() * mask.sum(), mask.sum()
+
+    # the batches are independent; summed in batch order, val_ce keeps its bits
+    ce_num, ce_den = 0.0, 0.0
+    for num, den in blas.split_run(batch_ce, batches, weight=lambda rows: sum(map(len, pairs[rows]))):
+        ce_num += num
+        ce_den += den
     val_ce = ce_num / ce_den
 
-    hyps = decode_split(model, [clip.features for clip in exp.val_clips], exp.decode_cfg, exp.vocab)
     candidates = [detokenize(h.tokens, exp.vocab) for h in hyps]
     items = [EvalItem(c, clip.captions) for c, clip in zip(candidates, exp.val_clips)]
     val_sbert, sbert_scores = sbert_metric(items, embed, agg=cfg.sbert_agg)

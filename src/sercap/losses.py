@@ -89,7 +89,11 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
 
 
 def ser_alternatives(pred: Tensor, target: Tensor, kind: str) -> Tensor:
-    """The other regression criteria tried for the sentence-embedding term."""
+    """The other regression criteria tried for the sentence-embedding term.
+
+    ``pred`` and ``target`` are one vector or a ``(B, d)`` batch of them;
+    ``cosine`` is 1 minus the mean of the per-row cosines.
+    """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     d = pred - target
@@ -98,12 +102,13 @@ def ser_alternatives(pred: Tensor, target: Tensor, kind: str) -> Tensor:
     if kind == "l1":
         return ad.absolute(d).mean()
     if kind == "cosine":
-        na = float(np.linalg.norm(pred.data))
-        nb = float(np.linalg.norm(target.data))
-        if na == 0.0 or nb == 0.0:
+        # one cosine per caption (the last axis), so a caption's loss does
+        # not depend on its batch mates
+        if not (np.linalg.norm(pred.data, axis=-1).all() and np.linalg.norm(target.data, axis=-1).all()):
             raise ValueError("cosine criterion undefined for a zero-norm vector")
-        cos = (pred * target).sum() / (ad.sqrt((pred * pred).sum()) * ad.sqrt((target * target).sum()))
-        return 1.0 - cos
+        cos = (pred * target).sum(axis=-1) / (ad.sqrt((pred * pred).sum(axis=-1))
+                                              * ad.sqrt((target * target).sum(axis=-1)))
+        return 1.0 - cos.mean()
     raise ValueError(f"unknown SER criterion {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -307,6 +308,31 @@ class TestBackward:
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
 
+    def test_other_thread_records_nothing_on_open_tape(self):
+        x = rand((3, 3), seed=18)
+        seen = {}
+
+        def elsewhere():
+            seen["tape"] = ad._active_tape()
+            y = ad.softmax(ad.matmul(x, x)).sum()
+            seen["cell"] = y._cell
+            with Tape() as own:
+                z = (x * x).sum()
+            own.backward(z)  # a tape opened on that thread records there
+            seen["own"] = len(own)
+
+        with Tape() as tape:
+            loss = (x * 2.0).sum()
+            recorded = len(tape)
+            worker = threading.Thread(target=elsewhere)
+            worker.start()
+            worker.join()
+            assert ad._active_tape() is tape
+            assert len(tape) == recorded
+        assert seen == {"tape": None, "cell": None, "own": 2}
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * np.ones((3, 3)) + 2.0 * x.data)
+
 
 def _layer_norm(x, g, b):
     return ad.layer_norm(x, g, b, eps=1e-5)
@@ -537,9 +563,10 @@ class TestGradCheck:
         def corrupted(a):
             out = (a * a).sum()
             # sabotage the recorded vjp to emulate a wrong derivative
-            if ad._TAPE_STACK:
-                node = ad._TAPE_STACK[-1]._nodes[-1]
-                ad._TAPE_STACK[-1]._nodes[-1] = (
+            tape = ad._active_tape()
+            if tape is not None:
+                node = tape._nodes[-1]
+                tape._nodes[-1] = (
                     node[0],
                     node[1],
                     lambda g: tuple(None if gi is None else gi * 1.5 for gi in node[2](g)),

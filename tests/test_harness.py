@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -31,7 +32,7 @@ from sercap.harness import (
     train,
     write_curve,
 )
-from sercap.text import BOS_ID, load_stopwords, subword_tokenize
+from sercap.text import BOS_ID, load_stopwords, subword_tokenize, tokenize
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -134,6 +135,67 @@ class TestSentenceEmbedder:
 
         want = [np.mean([cosine(one[it.candidate], one[r]) for r in it.references]) for it in items]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestSplitWork:
+    """Embedding groups and validation CE batches shared with the helper
+    thread give the serial results bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(blas.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_embedded_groups_equal_serial_calls(self, monkeypatch):
+        exp = build_experiment(tiny_config())
+        caps = sorted({c for clip in exp.val_clips + exp.test_clips for c in clip.captions})
+        ids = {c: subword_tokenize(c, exp.sent_vocab) for c in caps}
+        by_length: dict[int, list[str]] = {}
+        for c in sorted(caps, key=lambda c: (len(ids[c]), c)):
+            by_length.setdefault(len(ids[c]), []).append(c)
+        assert len(by_length) >= 2
+        want = {}
+        for group in by_length.values():
+            want.update(zip(group, exp.encoder.embed_tokens([ids[c] for c in group]).data))
+
+        threads = set()
+        real = model.SentenceEncoder.embed_tokens
+
+        def spied(self, tokens, pad_mask=None):
+            threads.add(threading.get_ident())
+            return real(self, tokens, pad_mask)
+
+        monkeypatch.setattr(model.SentenceEncoder, "embed_tokens", spied)
+        got = _embed_captions_batch(exp.encoder, exp.sent_vocab, caps)
+        assert len(threads) == 2
+        assert {c: v.tobytes() for c, v in got.items()} == {c: v.tobytes() for c, v in want.items()}
+
+    def test_validation_ce_equals_serial_sum(self, monkeypatch):
+        exp = build_experiment(tiny_config())
+        exp.model.eval_mode()
+        pairs = [tokenize(cap, exp.vocab) for clip in exp.val_clips for cap in clip.captions]
+        feats = np.stack([clip.features for clip in exp.val_clips for _ in clip.captions])
+        bs = exp.config.batch_size
+        assert len(pairs) >= 2 * bs
+        ce_num, ce_den = 0.0, 0.0
+        for i in range(0, len(pairs), bs):
+            in_ids, tgt_ids, mask = harness._teacher_forcing_batch(pairs[i : i + bs])
+            out = exp.model.decode_teacher_forced(exp.model.encode_project(feats[i : i + bs]), in_ids,
+                                                  training=False)
+            ce = harness.cross_entropy_smoothed(out.logits, tgt_ids, mask, exp.config.loss.label_smoothing)
+            ce_num += ce.item() * mask.sum()
+            ce_den += mask.sum()
+
+        threads = set()
+        real = model.CaptionerModel.decode_teacher_forced
+
+        def spied(self, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(model.CaptionerModel, "decode_teacher_forced", spied)
+        val_ce, _, _ = harness._validation_pass(exp, sentence_embedder(exp.encoder, exp.sent_vocab))
+        assert len(threads) == 2
+        assert np.float64(val_ce).tobytes() == np.float64(ce_num / ce_den).tobytes()
 
 
 class TestBenchmarkHooks:

@@ -134,6 +134,32 @@ class TestSerAlternatives:
         with pytest.raises(ValueError):
             losses.ser_alternatives(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]), "cosine")
 
+    def test_cosine_batch_is_mean_of_rows(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+        rows = [losses.ser_alternatives(Tensor(a[i]), Tensor(b[i]), "cosine").item() for i in range(4)]
+        batch = losses.ser_alternatives(Tensor(a), Tensor(b), "cosine").item()
+        np.testing.assert_allclose(batch, np.mean(rows), rtol=1e-12)
+        # a caption's loss does not depend on the scale of its batch mates
+        scaled = a.copy()
+        scaled[1:] *= 10.0
+        np.testing.assert_allclose(losses.ser_alternatives(Tensor(scaled), Tensor(b), "cosine").item(),
+                                   batch, rtol=1e-12)
+
+    def test_cosine_zero_row_rejected(self):
+        a = np.ones((3, 4))
+        a[1] = 0.0
+        with pytest.raises(ValueError):
+            losses.ser_alternatives(Tensor(a), Tensor(np.ones((3, 4))), "cosine")
+        with pytest.raises(ValueError):
+            losses.ser_alternatives(Tensor(np.ones((3, 4))), Tensor(a), "cosine")
+
+    def test_cosine_batch_gradient(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 5)))
+        assert ad.grad_check(lambda x: losses.ser_alternatives(x, b, "cosine"), [a]).passed
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             losses.ser_alternatives(Tensor([1.0]), Tensor([1.0]), "huber")
