@@ -9,10 +9,11 @@ scheduler slice, which makes decoding time swing from run to run.
 ``single_threaded`` runs a block on the calling thread alone and
 restores the previous thread count on exit.
 
-Work made of independent items (length groups of captions to embed,
-validation batches) uses a second CPU better by items than by GEMM
-blocks: ``split_run`` runs one part of the items on the caller and the
-other on one helper thread, each with BLAS on one thread.  OpenBLAS
+Work made of independent items (the length groups of captions that
+``harness._embed_captions_batch`` embeds) uses a second CPU better by
+items than by GEMM blocks: ``split_run`` runs one part of the items on
+the caller and the other on one helper thread, each with BLAS on one
+thread.  OpenBLAS
 shares a product among its threads by blocks of the output, so a
 one-thread product has the same bits and so do the split results.
 

@@ -9,9 +9,22 @@ lexicographically on token ids so decoding is fully deterministic.
 incremental decoder state (``model.decoder_state``): each step feeds
 only the newest token of every live hypothesis, with the row it extends
 and its clip, and the state keeps each layer's attention keys and
-values.  ``exhaustive_search`` enumerates every mask-legal sequence
-through the full-prefix ``model.step_logits`` and serves as the
-independent test oracle.
+values.  The bookkeeping of a step is a few array passes over all live
+rows of all clips at once (after Seki et al., "Vectorized Beam Search
+for CTC-Attention-based Speech Recognition", 2019).  Each row carries a
+(rows, vocab) ban mask inherited from its parent; all rows share one
+emitted length, so the eos rules apply to the whole array.  A row's
+candidates score ``score + log_prob``; every clip's (row, token) slots
+are laid out in one row of a key array, illegal slots last, and a
+stable sort keeps the first ``beam_size``, which breaks ties by row and
+then token.  Eos continuations only update the clip's best finished
+hypothesis, and a clip stops once that strictly beats its best
+survivor.
+
+``allowed_tokens`` states the masks one prefix at a time.  It serves
+``exhaustive_search``, which enumerates every mask-legal sequence
+through the full-prefix ``model.step_logits`` and is the independent
+test oracle, and the per-hypothesis reference search of the tests.
 """
 from __future__ import annotations
 
@@ -85,47 +98,6 @@ def _log_probs(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _advance(live, logprobs, cfg, vocab, finished):
-    """One beam step for one clip.
-
-    Every legal eos continuation is set aside into the finished pool;
-    the surviving live set is the top ``beam_size`` non-eos candidates
-    (ties: earlier hypothesis, then lower token id).  Returns the
-    survivors and, for each, the index of the live hypothesis it extends.
-    """
-    cands = []
-    for hi, h in enumerate(live):
-        mask = allowed_tokens(h.tokens, cfg, vocab)
-        lp = logprobs[hi]
-        for tok in np.flatnonzero(mask):
-            tok = int(tok)
-            score = h.log_prob + lp[tok]
-            if tok == EOS_ID:
-                finished.append(BeamHypothesis(h.tokens + [tok], score, True))
-            else:
-                cands.append((score, hi, tok))
-    cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-    kept = cands[: cfg.beam_size]
-    survivors = [BeamHypothesis(live[hi].tokens + [tok], score, False) for score, hi, tok in kept]
-    return survivors, [hi for _, hi, _ in kept]
-
-
-def _best(finished) -> BeamHypothesis:
-    if not finished:
-        raise RuntimeError("beam search ended with no finished hypothesis")
-    return min(finished, key=lambda h: (-h.log_prob, h.tokens))
-
-
-def _should_stop(live, finished) -> bool:
-    if not live:
-        return True
-    if not finished:
-        return False
-    # scores only decrease along a path, so once the best finished
-    # hypothesis strictly beats every live one, no extension can win
-    return max(f.log_prob for f in finished) > max(h.log_prob for h in live)
-
-
 def beam_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary) -> BeamHypothesis:
     """Highest log-prob finished hypothesis under the constraint masks:
     the one-clip case of ``decode_corpus``."""
@@ -158,29 +130,67 @@ def decode_corpus(memories, model, cfg: DecodeConfig, vocab: Vocabulary) -> list
 
 
 def _search(memories, model, cfg, vocab) -> list[BeamHypothesis]:
-    n = len(memories)
+    n, size = len(memories), vocab.size
     state = model.decoder_state(memories)
-    live: list[list[BeamHypothesis]] = [[BeamHypothesis([BOS_ID], 0.0, False)] for _ in range(n)]
-    finished: list[list[BeamHypothesis]] = [[] for _ in range(n)]
-    # the first step starts each clip's empty prefix with bos
-    tokens, parents, clips = [BOS_ID] * n, list(range(n)), list(range(n))
-    while tokens:
-        logprobs = _log_probs(state.step(tokens, parents, clips))
-        tokens, parents, clips = [], [], []
-        row = 0
-        for ci in range(n):
-            k = len(live[ci])
-            if k == 0:
-                continue
-            live[ci], picked = _advance(live[ci], logprobs[row : row + k], cfg, vocab, finished[ci])
-            if _should_stop(live[ci], finished[ci]):
-                live[ci] = []
-            for h, hi in zip(live[ci], picked):
-                tokens.append(h.tokens[-1])
-                parents.append(row + hi)
-                clips.append(ci)
-            row += k
-    return [_best(f) for f in finished]
+    # an emitted token bans itself from its row unless it is a stopword
+    bans_itself = np.array([tok not in cfg.stopwords for tok in vocab.id_to_token])
+    # live rows, grouped by clip in clip order; the first step starts each
+    # clip's empty prefix with bos
+    tokens, parents, clips = np.full(n, BOS_ID), np.arange(n), np.arange(n)
+    scores = np.zeros(n)
+    history = np.empty((n, 0), dtype=np.int64)
+    # pad and bos are never legal; eos continuations go to ``_finish``,
+    # never to the survivors
+    banned = np.zeros((n, size), dtype=bool)
+    banned[:, [PAD_ID, BOS_ID, EOS_ID]] = True
+    # each clip's best finished hypothesis so far
+    best_lp = np.full(n, -np.inf)
+    best_tokens: list[list[int] | None] = [None] * n
+    while len(tokens):
+        cand = scores[:, None] + _log_probs(state.step(tokens, parents, clips))
+        emitted = history.shape[1]
+        first = np.flatnonzero(np.r_[True, clips[1:] != clips[:-1]])
+        counts = np.diff(np.r_[first, len(clips)])
+        group = np.repeat(np.arange(len(first)), counts)
+        if emitted >= cfg.min_len:
+            _finish(cand[:, EOS_ID], history, clips, group, first, best_lp, best_tokens)
+        if emitted >= cfg.max_len:
+            break
+        # key of every (row, token) slot of a clip, padded to its widest
+        # clip: -score where legal, NaN (sorted last) elsewhere; a stable
+        # sort breaks score ties by row, then token
+        key = np.full((len(first), counts.max(), size), np.nan)
+        key[group, np.arange(len(clips)) - first[group]] = np.where(banned, np.nan, -cand)
+        key = key.reshape(len(first), -1)
+        order = np.argsort(key, axis=1, kind="stable")[:, : cfg.beam_size]
+        picked = np.take_along_axis(key, order, axis=1)
+        # scores only decrease along a path, so once a clip's best finished
+        # hypothesis strictly beats its best survivor, no extension can win
+        kept = ~np.isnan(picked) & ~(best_lp[clips[first]] > -picked[:, 0])[:, None]
+        g, rank = np.nonzero(kept)
+        slot = order[g, rank]
+        parents, tokens, clips = first[g] + slot // size, slot % size, clips[first[g]]
+        scores = cand[parents, tokens]
+        history = np.concatenate([history[parents], tokens[:, None]], axis=1)
+        banned = banned[parents]
+        banned[np.arange(len(tokens)), tokens] |= bans_itself[tokens]
+    if any(t is None for t in best_tokens):
+        raise RuntimeError("beam search ended with no finished hypothesis")
+    return [BeamHypothesis(t, lp, True) for t, lp in zip(best_tokens, best_lp)]
+
+
+def _finish(eos, history, clips, group, first, best_lp, best_tokens) -> None:
+    """Offer each clip the eos continuation of its rows: the best by
+    (-log_prob, tokens) replaces the clip's best finished hypothesis
+    when it comes first in that order."""
+    # lexsort's last key is the primary one: group, then -score, then tokens
+    rows = np.lexsort((*history.T[::-1], -eos, group))[first]
+    for row, ci in zip(rows.tolist(), clips[first].tolist()):
+        lp, old = eos[row], best_tokens[ci]
+        if old is None or lp >= best_lp[ci]:
+            tokens = [BOS_ID, *history[row].tolist(), EOS_ID]
+            if old is None or lp > best_lp[ci] or tokens < old:
+                best_lp[ci], best_tokens[ci] = lp, tokens
 
 
 def exhaustive_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary,

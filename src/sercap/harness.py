@@ -406,24 +406,18 @@ def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
         for clip in exp.val_clips
         for _ in clip.captions
     ])
-    # the decode runs BLAS on one thread: done first, it gives the OpenBLAS
-    # worker that spins on after the last training step's products time to
-    # go idle before the split CE below wants that CPU
     hyps = decode_split(model, [clip.features for clip in exp.val_clips], exp.decode_cfg, exp.vocab)
-    batches = [slice(i, i + cfg.batch_size) for i in range(0, len(pairs), cfg.batch_size)]
-
-    def batch_ce(rows: slice):
-        in_ids, tgt_ids, mask = _teacher_forcing_batch(pairs[rows])
-        mem = model.encode_project(feats[rows])
+    # the batches run in order on the caller: a helper thread would share
+    # its CPU with the OpenBLAS worker that spins on after the last
+    # training step's products
+    ce_num, ce_den = 0.0, 0.0
+    for i in range(0, len(pairs), cfg.batch_size):
+        in_ids, tgt_ids, mask = _teacher_forcing_batch(pairs[i : i + cfg.batch_size])
+        mem = model.encode_project(feats[i : i + cfg.batch_size])
         out = model.decode_teacher_forced(mem, in_ids, training=False)
         ce = cross_entropy_smoothed(out.logits, tgt_ids, mask, cfg.loss.label_smoothing)
-        return ce.item() * mask.sum(), mask.sum()
-
-    # the batches are independent; summed in batch order, val_ce keeps its bits
-    ce_num, ce_den = 0.0, 0.0
-    for num, den in blas.split_run(batch_ce, batches, weight=lambda rows: sum(map(len, pairs[rows]))):
-        ce_num += num
-        ce_den += den
+        ce_num += ce.item() * mask.sum()
+        ce_den += mask.sum()
     val_ce = ce_num / ce_den
 
     candidates = [detokenize(h.tokens, exp.vocab) for h in hyps]

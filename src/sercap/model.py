@@ -380,6 +380,7 @@ class DecoderState:
         layers = range(model.config.decoder_layers)
         self._cross_kv = [tuple(t.data for t in model._kv(i, "cross", memory)) for i in layers]
         n, h = memory.shape[0], model.config.heads
+        self._n_clips = n
         empty = np.zeros((n, h, 0, model.config.d_model // h))
         self._self_kv = [(empty, empty) for _ in layers]
         self._parents = self._clips = None
@@ -408,10 +409,14 @@ class DecoderState:
         self._parents = parents
         # rows keep their clips from step to step until a clip stops, so
         # the per-row gather of the cross-attention keys and values is
-        # redone only when the row-to-clip map changes
+        # redone only when the row-to-clip map changes; one row per clip
+        # in clip order (the first step) reads the per-clip arrays as they are
         if self._clips is None or not np.array_equal(clips, self._clips):
             self._clips = clips
-            self._cross_rows = [(Tensor(k[clips]), Tensor(v[clips])) for k, v in self._cross_kv]
+            if np.array_equal(clips, np.arange(self._n_clips)):
+                self._cross_rows = [(Tensor(k), Tensor(v)) for k, v in self._cross_kv]
+            else:
+                self._cross_rows = [(Tensor(k[clips]), Tensor(v[clips])) for k, v in self._cross_kv]
 
         d = model.config.d_model
         x = ad.embedding_lookup(model.params["embed.table"], tokens[:, None]) * np.sqrt(d)

@@ -11,7 +11,7 @@ from sercap.decoding import (
     exhaustive_search,
     greedy_search,
 )
-from sercap.text import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, Vocabulary
+from sercap.text import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
 
 def toy_vocab(content=("dog", "cat", "man"), stop=("a", "the")):
@@ -61,6 +61,79 @@ class ForcedTokenModel(ToyModel):
         logits[self.favorite] = 5.0
         logits[EOS_ID] = 2.0
         return logits
+
+
+class ClipToyModel(ToyModel):
+    """Pseudo-random logits keyed on the clip (``memory[0, 0]``) and the
+    prefix, rounded to ``step`` so that scores tie across rows; logits of
+    ``-inf`` go to the tokens in ``never``."""
+
+    def __init__(self, vocab_size: int, seed: int, step: float = 0.0, never=()):
+        self.vocab_size, self.seed, self.step, self.never = vocab_size, seed, step, list(never)
+
+    def step_logits(self, memory, prefix) -> np.ndarray:
+        rng = np.random.default_rng([self.seed, int(memory[0, 0])] + [int(t) for t in prefix])
+        logits = rng.normal(0, 2.0, self.vocab_size)
+        if self.step:
+            logits = np.round(logits / self.step) * self.step
+        logits[self.never] = -np.inf
+        return logits
+
+
+def clip_memories(n):
+    return [np.full((1, 1), float(c)) for c in range(n)]
+
+
+def reference_search(memories, model, cfg, vocab) -> list[BeamHypothesis]:
+    """The lockstep search one hypothesis and one token at a time, over
+    ``allowed_tokens`` and Python lists: each clip's legal eos
+    continuations join its finished pool, its survivors are the top
+    ``beam_size`` other candidates by (-score, hypothesis, token), and it
+    stops once its best finished hypothesis strictly beats every survivor."""
+    n = len(memories)
+    state = model.decoder_state(np.stack(memories))
+    live = [[BeamHypothesis([BOS_ID], 0.0, False)] for _ in range(n)]
+    finished = [[] for _ in range(n)]
+    tokens, parents, clips = [BOS_ID] * n, list(range(n)), list(range(n))
+    while tokens:
+        logprobs = decoding._log_probs(state.step(tokens, parents, clips))
+        tokens, parents, clips = [], [], []
+        row = 0
+        for ci in range(n):
+            k = len(live[ci])
+            if k == 0:
+                continue
+            cands = []
+            for hi, h in enumerate(live[ci]):
+                lp = logprobs[row + hi]
+                for tok in np.flatnonzero(allowed_tokens(h.tokens, cfg, vocab)):
+                    tok = int(tok)
+                    score = h.log_prob + lp[tok]
+                    if tok == EOS_ID:
+                        finished[ci].append(BeamHypothesis(h.tokens + [tok], score, True))
+                    else:
+                        cands.append((score, hi, tok))
+            cands.sort(key=lambda c: (-c[0], c[1], c[2]))
+            kept = cands[: cfg.beam_size]
+            live[ci] = [BeamHypothesis(live[ci][hi].tokens + [tok], score, False) for score, hi, tok in kept]
+            if finished[ci] and kept and max(f.log_prob for f in finished[ci]) > kept[0][0]:
+                live[ci], kept = [], []
+            for score, hi, tok in kept:
+                tokens.append(tok)
+                parents.append(row + hi)
+                clips.append(ci)
+            row += k
+    if not all(finished):
+        raise RuntimeError("beam search ended with no finished hypothesis")
+    return [min(f, key=lambda h: (-h.log_prob, h.tokens)) for f in finished]
+
+
+def assert_same_hypotheses(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w  # tokens, log_prob (by ==) and finished
+        assert type(g.log_prob) is type(w.log_prob)
+        assert all(type(t) is int for t in g.tokens)
 
 
 def small_cfg(vocab, **kw):
@@ -295,6 +368,129 @@ class TestDecodeCorpus:
         mem = model.encode_project(np.random.default_rng(1).normal(0, 1, (3, 4))).data
         beam_search(mem, model, small_cfg(v, min_len=1, max_len=4), v)
         assert model.params.sha256() == before
+
+
+class TestMatchesReferenceSearch:
+    """``decode_corpus`` against the per-hypothesis ``reference_search``:
+    the same hypotheses, log-probs equal with ``==``."""
+
+    LENGTHS = [(1, 1), (1, 3), (2, 4), (3, 3), (1, 6), (4, 6)]
+    STOPWORDS = [frozenset({"a", "the"}), frozenset({"a"}), frozenset({"a", "the", "dog", "cat"}),
+                 frozenset({"the", "<unk>"}), frozenset({"zzz"})]
+
+    def check(self, model, v, n_clips, **kw):
+        """Compare on ``n_clips`` clips; returns the number of distinct
+        caption lengths, or 0 when both searches raised alike."""
+        cfg = small_cfg(v, **kw)
+        memories = clip_memories(n_clips)
+        try:
+            want = reference_search(memories, model, cfg, v)
+        except RuntimeError as err:
+            with pytest.raises(RuntimeError, match=str(err)):
+                decode_corpus(memories, model, cfg, v)
+            return 0
+        assert_same_hypotheses(decode_corpus(memories, model, cfg, v), want)
+        return len({len(h.tokens) for h in want})
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4, 5, 6])
+    def test_beam_sizes_lengths_and_stopwords(self, beam):
+        v = toy_vocab()
+        spread = 0
+        for i, (lo, hi) in enumerate(self.LENGTHS):
+            for j, stop in enumerate(self.STOPWORDS):
+                model = ClipToyModel(v.size, seed=100 * beam + 10 * i + j)
+                spread = max(spread, self.check(model, v, 5, beam_size=beam, min_len=lo, max_len=hi,
+                                                stopwords=stop))
+        # some clips finished at a different step from their batch mates
+        assert spread > 1
+
+    def test_beams_of_at_least_the_vocabulary(self):
+        v = toy_vocab()
+        for beam in (v.size, v.size + 3, 2 * v.size):
+            for seed, (lo, hi) in enumerate([(1, 3), (2, 4), (3, 3)]):
+                self.check(ClipToyModel(v.size, seed), v, 3, beam_size=beam, min_len=lo, max_len=hi)
+
+    def test_uniform_logits_tie_everywhere(self):
+        v = toy_vocab()
+        for beam in (1, 2, 3, 5, v.size):
+            for lo, hi in self.LENGTHS:
+                # rounded to steps of 1e6, every logit is 0
+                self.check(ClipToyModel(v.size, 0, step=1e6), v, 3, beam_size=beam, min_len=lo, max_len=hi)
+
+    def test_quantized_logits_tie_across_rows(self):
+        v = toy_vocab()
+        for seed in range(12):
+            for beam in (2, 3, 4):
+                self.check(ClipToyModel(v.size, seed, step=1.5), v, 4, beam_size=beam, min_len=1 + seed % 3,
+                           max_len=4 + seed % 3)
+
+    def test_minus_infinity_logits(self):
+        v = toy_vocab()
+        dog, a = v.token_to_id["dog"], v.token_to_id["a"]
+        for seed in range(6):
+            for never in ([dog], [a, dog], [EOS_ID]):
+                self.check(ClipToyModel(v.size, seed, never=never), v, 3, beam_size=3, min_len=1, max_len=4)
+
+    def test_finished_ties_a_survivor_that_goes_on_to_win(self):
+        # after bos: unk or "a", even odds; after "a" only eos, after unk
+        # only "the", then only eos (as after any other prefix).  [bos a
+        # eos] ties the live [bos unk the] and must not stop the search:
+        # [bos unk the eos] has the same score and comes first by token ids
+        v = toy_vocab()
+        a, the = v.token_to_id["a"], v.token_to_id["the"]
+        script = {(BOS_ID,): [UNK_ID, a], (BOS_ID, UNK_ID): [the]}
+
+        class Scripted(ToyModel):
+            def step_logits(self, memory, prefix):
+                logits = np.full(v.size, -np.inf)
+                logits[script.get(tuple(prefix), [EOS_ID])] = 0.0
+                return logits
+
+        for beam in (2, 3):
+            self.check(Scripted(), v, 2, beam_size=beam, min_len=1, max_len=4)
+            hyp = decode_corpus(clip_memories(1), Scripted(), small_cfg(v, beam_size=beam, min_len=1,
+                                                                        max_len=4), v)[0]
+            assert hyp.tokens == [BOS_ID, UNK_ID, the, EOS_ID]
+            assert hyp.log_prob == -np.log(2.0)
+
+    def test_no_finished_hypothesis_raises_like_reference(self):
+        # six legal tokens, none a stopword, each usable once: no caption reaches 7
+        v = toy_vocab()
+        assert self.check(ClipToyModel(v.size, 1), v, 2, beam_size=2, min_len=7, max_len=8,
+                          stopwords=frozenset({"zzz"})) == 0
+
+    def test_captioner_with_reordered_and_duplicated_beams(self):
+        from sercap.model import CaptionerModel, ModelConfig
+
+        v = toy_vocab(content=("dog", "cat", "man", "rain", "wind", "bird", "car", "bell"))
+        cfg_m = ModelConfig(vocab_size=v.size, d_model=8, decoder_layers=2, heads=2,
+                            d_ff=16, dropout=0.0, d_enc=4, d_sent=8, max_len=8,
+                            sent_heads=2)
+        model = CaptionerModel(cfg_m, seed=5)
+        model.eval_mode()
+        rng = np.random.default_rng(6)
+        memories = [model.encode_project(rng.normal(0, 1, (3, 4))).data for _ in range(5)]
+        seen_parents = []
+        make_state = model.decoder_state
+
+        class RecordingState:
+            def __init__(self, mems):
+                self.inner = make_state(mems)
+
+            def step(self, tokens, parents, clips):
+                seen_parents.append(list(parents))
+                return self.inner.step(tokens, parents, clips)
+
+        model.decoder_state = RecordingState
+        for beam, lo, hi in [(3, 5, 7), (2, 1, 7), (4, 2, 5)]:
+            cfg = small_cfg(v, beam_size=beam, min_len=lo, max_len=hi)
+            seen_parents.clear()
+            got = decode_corpus(memories, model, cfg, v)
+            assert_same_hypotheses(got, reference_search(memories, model, cfg, v))
+        seen_parents.clear()
+        decode_corpus(memories, model, small_cfg(v, beam_size=3, min_len=5, max_len=7), v)
+        assert any(p != sorted(p) for p in seen_parents[2:])
+        assert any(len(set(p)) < len(p) for p in seen_parents[2:])
 
 
 class TestDecodeConfig:

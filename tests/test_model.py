@@ -356,6 +356,24 @@ class TestDecoderState:
             full = model.decode_teacher_forced(mems[clips], np.array(prefixes), training=False)
             np.testing.assert_allclose(got, full.logits.data[:, -1], rtol=0, atol=1e-12)
 
+    def test_first_step_reads_per_clip_cross_rows_uncopied(self, model):
+        mems = self.memories(model, 4, 25)
+        rows = np.arange(4)
+        state = model.decoder_state(mems)
+        got = state.step([BOS_ID] * 4, rows, rows)
+        for (k, v), (ck, cv) in zip(state._cross_rows, state._cross_kv):
+            assert np.shares_memory(k.data, ck) and np.shares_memory(v.data, cv)
+        # a clip count that does not match the rows forces the per-row gather
+        gathered = model.decoder_state(mems)
+        gathered._n_clips += 1
+        want = gathered.step([BOS_ID] * 4, rows, rows)
+        assert not any(np.shares_memory(k.data, ck) for (k, _), (ck, _) in zip(gathered._cross_rows,
+                                                                              gathered._cross_kv))
+        assert got.tobytes() == want.tobytes()
+        # the next step's rows repeat clips, so they are gathered
+        state.step([4, 5, 4], [0, 0, 3], [0, 0, 3])
+        assert not np.shares_memory(state._cross_rows[0][0].data, state._cross_kv[0][0])
+
     def test_dropout_disabled_even_in_train_mode(self):
         m = CaptionerModel(tiny_config(dropout=0.5), seed=1)
         m.train_mode()
