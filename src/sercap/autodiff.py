@@ -24,6 +24,7 @@ batch between a packed ``(N, d)`` array and the padded layout.
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,18 +348,6 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (0.5 / out),))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    return _make(np.log(x), (a,), lambda g: (g / x,))
-
-
 def _flat_product_vjp(x2, w, x_shape):
     """VJP of ``x2 @ w`` for rows ``x2`` flattened from an ``x_shape`` input.
 
@@ -444,18 +433,6 @@ def permute(a, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(tensors), vjp)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -639,26 +616,19 @@ def gather_rows(x, index) -> Tensor:
     return _make(rows, (x,), lambda g: (_placed_rows(g, index, lead),))
 
 
-def dropout(x, p: float, training: bool, rng: np.random.Generator, rows=None) -> Tensor:
+def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: scales survivors by 1/(1-p); eval is identity.
 
-    The node keeps a boolean mask, not a float one; ``(x * scale) * mask``
-    equals ``x * (mask / (1 - p))`` bit for bit.  With ``rows = (index,
-    lead)``, ``x`` holds the rows ``gather_rows`` takes at ``index`` from
-    a ``lead + (d,)`` array: the mask is drawn for that whole array and
-    its rows at ``index`` kept, so every row gets the mask, and the
-    generator the state, that dropout of the whole array would give.
+    The mask is drawn for ``x``'s own shape, so packed rows draw only for
+    the real positions.  The node keeps a boolean mask, not a float one;
+    ``(x * scale) * mask`` equals ``x * (mask / (1 - p))`` bit for bit.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
     if not training or p == 0.0:
         return x
-    if rows is None:
-        mask = rng.random(x.data.shape) >= p
-    else:
-        index, lead = rows
-        mask = (rng.random((int(np.prod(lead)), x.data.shape[-1])) >= p)[index]
+    mask = rng.random(x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
     return _make((x.data * scale) * mask, (x,), lambda g: ((g * scale) * mask,))
 
@@ -720,73 +690,83 @@ def grad_check(f, inputs, eps: float = 1e-5, rtol: float = 1e-4) -> GradCheckRep
     return GradCheckReport(max_rel_error=max_err, rtol=rtol, per_input=per_input)
 
 
+def _t(r: np.random.Generator, shape) -> Tensor:
+    return Tensor(r.normal(0, 1, shape), requires_grad=True)
+
+
+def _positive(r: np.random.Generator, shape) -> Tensor:
+    return Tensor(r.uniform(0.5, 2, shape), requires_grad=True)
+
+
+def _twice_looked_up(ids):
+    return lambda tab: (embedding_lookup(tab, ids) * embedding_lookup(tab, ids)).sum()
+
+
+def _through_frozen(w_frozen, b_frozen):
+    def f(x, w, b):
+        h = linear(linear(x, w, b), w_frozen, b_frozen)
+        return (h * h).mean()
+
+    return f
+
+
+def _weighted_scatter(w):
+    return lambda a: (scatter_rows(a, np.array([0, 1, 3]), (2, 3)) * w).sum()
+
+
+# name -> a function of the case's own generator giving (scalar function, inputs)
+_GRADCHECK_CASES = {
+    "matmul": lambda r: (lambda a, b: matmul(a, b).sum(), [_t(r, (3, 4)), _t(r, (4, 2))]),
+    "matmul_batched": lambda r: (lambda a, b: matmul(a, b).mean(), [_t(r, (2, 3, 4)), _t(r, (4, 2))]),
+    "arith": lambda r: (lambda a, b: (a * b + a - b).sum(), [_t(r, (3, 2)), _t(r, (3, 2))]),
+    "div": lambda r: (lambda a, b: (a / b).sum(), [_t(r, (2, 2)), _positive(r, (2, 2))]),
+    "softmax": lambda r: (lambda a: (softmax(a) * a).sum(), [_t(r, (3, 5))]),
+    "log_softmax": lambda r: (lambda a: (log_softmax(a) * a).sum(), [_t(r, (3, 5))]),
+    "layer_norm": lambda r: (
+        lambda a, g, b: (layer_norm(a, g, b, 1e-5) * layer_norm(a, g, b, 1e-5)).sum(),
+        [_t(r, (3, 4)), _t(r, (4,)), _t(r, (4,))],
+    ),
+    "gelu": lambda r: (lambda a: gelu(a).sum(), [_t(r, (6,))]),
+    "embedding": lambda r: (_twice_looked_up(np.array([0, 2, 2])), [_t(r, (4, 3))]),
+    "dropout": lambda r: (lambda a: dropout(a, 0.4, True, np.random.default_rng(7)).sum(), [_t(r, (5, 5))]),
+    "gather": lambda r: (lambda a: gather_last(a, np.array([1, 0, 2])).sum(), [_t(r, (3, 4))]),
+    "abs": lambda r: (lambda a: absolute(a).sum(), [Tensor(r.normal(0, 1, (5,)) + 0.3, requires_grad=True)]),
+    "sqrt": lambda r: (lambda a: sqrt(a).sum(), [_positive(r, (4,))]),
+    "reshape_permute": lambda r: (lambda a: a.transpose((1, 0)).reshape(6).mean(), [_t(r, (2, 3))]),
+    "matmul_square": lambda r: (lambda a, b: matmul(a, b).sum(), [_t(r, (2, 3)), _t(r, (3, 2))]),
+    "matmul_batched_square": lambda r: (lambda a, b: matmul(a, b).mean(), [_t(r, (2, 2, 3)), _t(r, (3, 2))]),
+    "softmax_mean": lambda r: (lambda a: softmax(a, axis=-1).mean(), [_t(r, (2, 5))]),
+    "log_softmax_2x5": lambda r: (lambda a: (log_softmax(a) * a).sum(), [_t(r, (2, 5))]),
+    "layer_norm_mean": lambda r: (
+        lambda a, g, b: (layer_norm(a, g, b, 1e-5) * layer_norm(a, g, b, 1e-5)).mean(),
+        [_t(r, (2, 4)), _t(r, (4,)), _t(r, (4,))],
+    ),
+    "embedding_4ids": lambda r: (_twice_looked_up(np.array([0, 2, 2, 1])), [_t(r, (4, 3))]),
+    "dropout_p03": lambda r: (lambda a: dropout(a, 0.3, True, np.random.default_rng(9)).sum(), [_t(r, (4, 4))]),
+    "gather_2x3": lambda r: (lambda a: gather_last(a, np.array([1, 0])).sum(), [_t(r, (2, 3))]),
+    "reshape_permute_sum": lambda r: (lambda a: a.transpose((1, 0)).reshape(6).sum(), [_t(r, (2, 3))]),
+    "linear": lambda r: (
+        _through_frozen(Tensor(r.normal(0, 1, (3, 2))), Tensor(r.normal(0, 1, (2,)))),
+        [_t(r, (2, 3, 4)), _t(r, (4, 3)), _t(r, (3,))],
+    ),
+    "scatter_rows": lambda r: (_weighted_scatter(r.normal(0, 1, (2, 3, 2))), [_t(r, (3, 2))]),
+    "gather_rows": lambda r: (
+        lambda a: (gather_rows(a, np.array([4, 0, 2])) * gather_rows(a, np.array([4, 0, 2]))).sum(),
+        [_t(r, (2, 3, 2))],
+    ),
+}
+
+
 def gradcheck_cases(rng: np.random.Generator) -> dict[str, tuple]:
     """The op table the gradient checks run: name -> (scalar function, inputs).
 
-    Inputs are drawn from ``rng``; several ops appear in two shapes or
-    formulations.  New cases go at the end, so earlier cases keep their
-    draws.
+    ``rng`` gives one table seed, and each case draws its inputs from its
+    own generator, seeded by that seed and the CRC-32 of its name, so
+    adding or removing a case moves no other case's inputs.  Several ops
+    appear in two shapes or formulations.
     """
-
-    def t(shape, scale=1.0):
-        return Tensor(rng.normal(0, scale, shape), requires_grad=True)
-
-    def positive(shape):
-        return Tensor(rng.uniform(0.5, 2, shape), requires_grad=True)
-
-    def twice_looked_up(ids):
-        return lambda tab: (embedding_lookup(tab, ids) * embedding_lookup(tab, ids)).sum()
-
-    def through_frozen(w_frozen, b_frozen):
-        def f(x, w, b):
-            h = linear(linear(x, w, b), w_frozen, b_frozen)
-            return (h * h).mean()
-
-        return f
-
-    def weighted_scatter(w):
-        return lambda a: (scatter_rows(a, np.array([0, 1, 3]), (2, 3)) * w).sum()
-
+    seed = int(rng.integers(2**32))
     return {
-        "matmul": (lambda a, b: matmul(a, b).sum(), [t((3, 4)), t((4, 2))]),
-        "matmul_batched": (lambda a, b: matmul(a, b).mean(), [t((2, 3, 4)), t((4, 2))]),
-        "arith": (lambda a, b: (a * b + a - b).sum(), [t((3, 2)), t((3, 2))]),
-        "div": (lambda a, b: (a / b).sum(), [t((2, 2)), positive((2, 2))]),
-        "softmax": (lambda a: (softmax(a) * a).sum(), [t((3, 5))]),
-        "log_softmax": (lambda a: (log_softmax(a) * a).sum(), [t((3, 5))]),
-        "layer_norm": (
-            lambda a, g, b: (layer_norm(a, g, b, 1e-5) * layer_norm(a, g, b, 1e-5)).sum(),
-            [t((3, 4)), t((4,)), t((4,))],
-        ),
-        "gelu": (lambda a: gelu(a).sum(), [t((6,))]),
-        "embedding": (twice_looked_up(np.array([0, 2, 2])), [t((4, 3))]),
-        "dropout": (lambda a: dropout(a, 0.4, True, np.random.default_rng(7)).sum(), [t((5, 5))]),
-        "gather": (lambda a: gather_last(a, np.array([1, 0, 2])).sum(), [t((3, 4))]),
-        "abs": (lambda a: absolute(a).sum(), [Tensor(rng.normal(0, 1, (5,)) + 0.3, requires_grad=True)]),
-        "sqrt": (lambda a: sqrt(a).sum(), [positive((4,))]),
-        "exp_log": (lambda a: (exp(a) * log(exp(a))).sum(), [t((3,))]),
-        "concat": (lambda a: concat([a, a * 2.0], axis=0).sum(), [t((2, 2))]),
-        "reshape_permute": (lambda a: a.transpose((1, 0)).reshape(6).mean(), [t((2, 3))]),
-        "matmul_square": (lambda a, b: matmul(a, b).sum(), [t((2, 3)), t((3, 2))]),
-        "matmul_batched_square": (lambda a, b: matmul(a, b).mean(), [t((2, 2, 3)), t((3, 2))]),
-        "softmax_mean": (lambda a: softmax(a, axis=-1).mean(), [t((2, 5))]),
-        "log_softmax_2x5": (lambda a: (log_softmax(a) * a).sum(), [t((2, 5))]),
-        "layer_norm_mean": (
-            lambda a, g, b: (layer_norm(a, g, b, 1e-5) * layer_norm(a, g, b, 1e-5)).mean(),
-            [t((2, 4)), t((4,)), t((4,))],
-        ),
-        "embedding_4ids": (twice_looked_up(np.array([0, 2, 2, 1])), [t((4, 3))]),
-        "dropout_p03": (lambda a: dropout(a, 0.3, True, np.random.default_rng(9)).sum(), [t((4, 4))]),
-        "gather_2x3": (lambda a: gather_last(a, np.array([1, 0])).sum(), [t((2, 3))]),
-        "concat_axis1": (lambda a: concat([a, a * 2.0], axis=1).sum(axis=0).mean(), [t((2, 3))]),
-        "reshape_permute_sum": (lambda a: a.transpose((1, 0)).reshape(6).sum(), [t((2, 3))]),
-        "linear": (
-            through_frozen(Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, (2,)))),
-            [t((2, 3, 4)), t((4, 3)), t((3,))],
-        ),
-        "scatter_rows": (weighted_scatter(rng.normal(0, 1, (2, 3, 2))), [t((3, 2))]),
-        "gather_rows": (
-            lambda a: (gather_rows(a, np.array([4, 0, 2])) * gather_rows(a, np.array([4, 0, 2]))).sum(),
-            [t((2, 3, 2))],
-        ),
+        name: build(np.random.default_rng([seed, zlib.crc32(name.encode())]))
+        for name, build in _GRADCHECK_CASES.items()
     }

@@ -9,6 +9,13 @@ space used by the regression loss.  ``DecoderState`` runs the same
 eval-mode decoder one position at a time for beam search, caching each
 layer's attention keys and values.
 
+The captioner's attention keys have no bias.  A key bias ``bk`` adds
+``q . bk`` to every score of a query, a per-row shift that softmax
+removes, so its gradient is zero in exact arithmetic (Namazifar et al.,
+"Role of Bias Terms in Dot-Product Attention", 2023) and AdamW would
+only scale its rounding noise into steps.  Queries and values keep
+their biases.
+
 Both models run a padded batch in a packed layout (``_RealRows``):
 every position-wise op sees only the rows of the real positions, and
 the (B, L) layout exists only inside attention.
@@ -140,8 +147,9 @@ class _RealRows:
 
     Position-wise ops (linear maps, layer norms, residual adds, GELU,
     dropout) run on the ``(N, d)`` rows of the N real positions in
-    row-major order.  Attention unpacks its inputs into the ``(B, L, d)``
-    layout, pad rows zero, and packs its output again.  A pad row can
+    row-major order; dropout draws its mask for those rows only.
+    Attention unpacks its inputs into the ``(B, L, d)`` layout, pad rows
+    zero, and packs its output again.  A pad row can
     reach no real output: the decoder's pads trail its causal mask and
     the encoder's are masked keys.  A batch with no pads keeps the
     ``(B, L, d)`` layout, which packing and unpacking return as is.
@@ -165,12 +173,6 @@ class _RealRows:
 
     def unpack(self, x: Tensor) -> Tensor:
         return x if self.index is None else ad.scatter_rows(x, self.index, self.lead)
-
-    def dropout(self, x: Tensor, p, training, rng) -> Tensor:
-        """Dropout with the masks, and the generator stream, of the
-        ``(B, L, d)`` layout."""
-        rows = None if self.index is None else (self.index, self.lead)
-        return ad.dropout(x, p, training, rng, rows=rows)
 
 
 def _attention(q: Tensor, k: Tensor, v: Tensor, mask, p_drop, training, rng) -> Tensor:
@@ -207,7 +209,7 @@ class CaptionerModel:
             for blk in ("self", "cross"):
                 for proj in ("Wq", "Wk", "Wv", "Wo"):
                     self.params.add(f"dec{i}.{blk}.{proj}", _glorot(rng, c.d_model, c.d_model))
-                for proj in ("bq", "bk", "bv", "bo"):
+                for proj in ("bq", "bv", "bo"):
                     self.params.add(f"dec{i}.{blk}.{proj}", np.zeros(c.d_model))
             for ln in ("ln1", "ln2", "ln3"):
                 self.params.add(f"dec{i}.{ln}.gamma", np.ones(c.d_model))
@@ -279,7 +281,7 @@ class CaptionerModel:
 
         x = ad.embedding_lookup(self.params["embed.table"], rows.take(tokens))
         x = x * np.sqrt(self.config.d_model) + Tensor(rows.positions(self._posenc))
-        x = rows.dropout(x, p, training, rng)
+        x = ad.dropout(x, p, training, rng)
         causal = _causal_mask(L)
 
         for i in range(self.config.decoder_layers):
@@ -307,20 +309,20 @@ class CaptionerModel:
             k, v = state._extend_self(i, k, v)
         sa = rows.pack(_merge_heads(_attention(q, k, v, causal, p, training, rng)))
         sa = ad.linear(sa, pp[f"dec{i}.self.Wo"], pp[f"dec{i}.self.bo"])
-        x = ad.layer_norm(x + rows.dropout(sa, p, training, rng),
+        x = ad.layer_norm(x + ad.dropout(sa, p, training, rng),
                           pp[f"dec{i}.ln1.gamma"], pp[f"dec{i}.ln1.beta"])
 
         q = _split_heads(rows.unpack(ad.linear(x, pp[f"dec{i}.cross.Wq"], pp[f"dec{i}.cross.bq"])), h)
         k, v = self._kv(i, "cross", memory) if state is None else state._cross_rows[i]
         ca = rows.pack(_merge_heads(_attention(q, k, v, None, p, training, rng)))
         ca = ad.linear(ca, pp[f"dec{i}.cross.Wo"], pp[f"dec{i}.cross.bo"])
-        x = ad.layer_norm(x + rows.dropout(ca, p, training, rng),
+        x = ad.layer_norm(x + ad.dropout(ca, p, training, rng),
                           pp[f"dec{i}.ln2.gamma"], pp[f"dec{i}.ln2.beta"])
 
         ff = ad.linear(x, pp[f"dec{i}.ff.W1"], pp[f"dec{i}.ff.b1"])
-        ff = rows.dropout(ad.gelu(ff), p, training, rng)
+        ff = ad.dropout(ad.gelu(ff), p, training, rng)
         ff = ad.linear(ff, pp[f"dec{i}.ff.W2"], pp[f"dec{i}.ff.b2"])
-        return ad.layer_norm(x + rows.dropout(ff, p, training, rng),
+        return ad.layer_norm(x + ad.dropout(ff, p, training, rng),
                              pp[f"dec{i}.ln3.gamma"], pp[f"dec{i}.ln3.beta"])
 
     def _kv(self, i, blk: str, src: Tensor, rows: _RealRows | None = None) -> tuple[Tensor, Tensor]:
@@ -328,7 +330,7 @@ class CaptionerModel:
         unpacked from ``rows`` when ``src`` is packed."""
         pp = self.params
         h = self.config.heads
-        k = ad.linear(src, pp[f"dec{i}.{blk}.Wk"], pp[f"dec{i}.{blk}.bk"])
+        k = ad.matmul(src, pp[f"dec{i}.{blk}.Wk"])
         v = ad.linear(src, pp[f"dec{i}.{blk}.Wv"], pp[f"dec{i}.{blk}.bv"])
         if rows is not None:
             k, v = rows.unpack(k), rows.unpack(v)
@@ -465,6 +467,8 @@ class SentenceEncoder:
         for i in range(layers):
             for proj in ("Wq", "Wk", "Wv", "Wo"):
                 self.params.add(f"enc{i}.{proj}", _glorot(rng, d, d), requires_grad=False)
+            # the key bias is inert here too, but dropping its draw would
+            # shift every encoder weight drawn after it
             for proj in ("bq", "bk", "bv", "bo"):
                 self.params.add(f"enc{i}.{proj}", rng.normal(0, 0.02, d), requires_grad=False)
             self.params.add(f"enc{i}.ln1.gamma", np.ones(d), requires_grad=False)

@@ -1,5 +1,6 @@
-"""AdamW with bias-exempt decoupled weight decay, the per-epoch cosine
-learning-rate rule, and global-norm gradient clipping."""
+"""AdamW with decoupled weight decay that skips every bias vector (linear
+biases and layer-norm betas), the per-epoch cosine learning-rate rule,
+and global-norm gradient clipping."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -44,14 +45,16 @@ class ParamGroup:
 def make_param_groups(named_params: list[tuple[str, Tensor]]) -> list[ParamGroup]:
     """Split parameters into decayed and exempt groups.
 
-    Bias vectors only (linear ``.b`` and layer-norm ``.beta``) are
-    exempt; weight matrices, embeddings, and layer-norm gains decay.
-    Every trainable parameter lands in exactly one group.
+    A parameter is exempt when the last dot-separated component of its
+    name starts with ``b``: every bias vector (``b``, ``bq``, ``bv``,
+    ``bo``, ``b1``, ``b2``) and layer-norm ``beta``.  Weight matrices
+    (``W*``), embedding tables and layer-norm gains decay.  Every
+    trainable parameter lands in exactly one group.
     """
     decay = ParamGroup([], [], decay_exempt=False)
     exempt = ParamGroup([], [], decay_exempt=True)
     for name, t in named_params:
-        group = exempt if name.endswith((".b", ".beta")) else decay
+        group = exempt if name.rsplit(".", 1)[-1].startswith("b") else decay
         group.names.append(name)
         group.tensors.append(t)
     return [g for g in (decay, exempt) if g.tensors]

@@ -1,6 +1,7 @@
 import gc
 import threading
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -237,15 +238,6 @@ class TestRowOps:
     def test_gradcheck_cases(self, name, seed):
         f, inputs = ad.gradcheck_cases(np.random.default_rng(seed))[name]
         assert ad.grad_check(f, inputs, eps=1e-5, rtol=1e-4).passed
-
-    def test_row_dropout_keeps_the_whole_arrays_masks_and_stream(self):
-        x = rand((2, 3, 4), seed=56)
-        index = np.array([0, 1, 3])
-        rng_full, rng_rows = np.random.default_rng(57), np.random.default_rng(57)
-        full = ad.dropout(x, 0.3, True, rng_full)
-        rows = ad.dropout(ad.gather_rows(x, index), 0.3, True, rng_rows, rows=(index, (2, 3)))
-        assert rows.data.tobytes() == full.data.reshape(6, 4)[index].tobytes()
-        assert rng_rows.bit_generator.state == rng_full.bit_generator.state
 
 
 class TestBackward:
@@ -580,6 +572,22 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             ad.grad_check(lambda a: a.sum(), [rand((2,))], eps=0.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_case_draws_from_its_own_generator(self, seed, monkeypatch):
+        def own_rng(name):
+            table_seed = int(np.random.default_rng(seed).integers(2**32))
+            return np.random.default_rng([table_seed, zlib.crc32(name.encode())])
+
+        def input_bytes(case):
+            return [t.data.tobytes() for t in case[1]]
+
+        full = ad.gradcheck_cases(np.random.default_rng(seed))
+        for name, build in ad._GRADCHECK_CASES.items():
+            assert input_bytes(full[name]) == input_bytes(build(own_rng(name)))
+            # a table holding this case alone gives it the same inputs
+            monkeypatch.setattr(ad, "_GRADCHECK_CASES", {name: build})
+            assert input_bytes(ad.gradcheck_cases(np.random.default_rng(seed))[name]) == input_bytes(full[name])
+
 
 @pytest.mark.parametrize("seed", range(10))
 def test_primitive_gradients_across_seeds(seed):
@@ -599,9 +607,6 @@ def test_primitive_gradients_across_seeds(seed):
         (lambda a: ad.gelu(a).sum(), [t((5,))]),
         (lambda a: ad.absolute(a).sum(), [Tensor(rng.normal(0, 1, (4,)) + 0.2, requires_grad=True)]),
         (lambda a: ad.sqrt(a).sum(), [Tensor(rng.uniform(0.5, 3, (4,)), requires_grad=True)]),
-        (lambda a: ad.exp(a).mean(), [t((3,))]),
-        (lambda a: ad.log(a).sum(), [Tensor(rng.uniform(0.5, 3, (4,)), requires_grad=True)]),
-        (lambda a: ad.concat([a, a], axis=0).sum(), [t((2, 2))]),
         (lambda a: a.reshape(6).sum(), [t((2, 3))]),
         (lambda a: a.transpose((1, 0)).mean(), [t((2, 3))]),
         (lambda a: ad.gather_last(a, np.array([0, 2])).sum(), [t((2, 3))]),

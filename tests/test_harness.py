@@ -535,6 +535,58 @@ def untrained_checkpoint(path: Path, **overrides) -> Path:
     return path
 
 
+def with_key_biases(src: Path, dst: Path) -> Path:
+    """Copy checkpoint ``src`` to ``dst`` in the older format whose captioner
+    had attention key biases: a nonzero ``param/dec{i}.{self,cross}.bk``
+    after each ``bq``, and its two moments among the sorted ``optim/``
+    arrays."""
+    ckpt = load_checkpoint(src)
+    data = ckpt.pop("array_data")
+    rng = np.random.default_rng(0)
+    params = [(m["name"], data[m["name"]]) for m in ckpt["arrays"] if m["name"].startswith("param/")]
+    moments = [(m["name"], data[m["name"]]) for m in ckpt["arrays"] if m["name"].startswith("optim/")]
+    with_bk = []
+    for name, a in params:
+        with_bk.append((name, a))
+        if name.endswith(".bq"):
+            bk = name[len("param/") : -len("bq")] + "bk"
+            with_bk.append(("param/" + bk, rng.normal(0, 0.1, a.shape)))
+            moments += [(f"optim/{bk}/m", rng.normal(0, 1e-3, a.shape)),
+                        (f"optim/{bk}/v", rng.uniform(0, 1e-6, a.shape))]
+    arrays = with_bk + sorted(moments, key=lambda kv: kv[0])
+    ckpt["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+    blob = json.dumps(ckpt, sort_keys=True).encode("utf-8")
+    dst.write_bytes(harness.CKPT_MAGIC + struct.pack("<IQ", harness.CKPT_VERSION, len(blob)) + blob
+                    + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays))
+    return dst
+
+
+class TestKeyBiasCheckpoints:
+    def test_restored_model_decodes_as_without_the_key_biases(self, tmp_path):
+        res = train(tiny_config(), tmp_path / "run")
+        old = with_key_biases(res.last_ckpt, tmp_path / "old.ckpt")
+        assert harness.CKPT_VERSION == 1
+        names = {m["name"] for m in load_checkpoint(old)["arrays"]}
+        assert {f"{kind}dec0.{blk}.bk{moment}" for blk in ("self", "cross")
+                for kind, moment in [("param/", ""), ("optim/", "/m"), ("optim/", "/v")]} <= names
+        feats = [c.features for c in res.experiment.test_clips]
+        decoded = []
+        for path in (res.last_ckpt, old):
+            net, _, vocab, _, config = restore_model(path)
+            decoded.append([(h.tokens, h.log_prob) for h in harness.decode_split(net, feats, config.decode, vocab)])
+        assert decoded[0] == decoded[1]
+        assert all(type(lp) is type(want) for (_, lp), (_, want) in zip(decoded[1], decoded[0]))
+
+    def test_resume_from_an_old_checkpoint_equals_the_straight_run(self, tmp_path):
+        straight = train(tiny_config(optim__epochs=4), tmp_path / "straight")
+        train(tiny_config(optim__epochs=4), tmp_path / "split", stop_after=2)
+        last = tmp_path / "split" / "last.ckpt"
+        old = with_key_biases(last, tmp_path / "old.ckpt")
+        resumed = train(tiny_config(optim__epochs=4), tmp_path / "split", resume_from=old)
+        assert params_bytes(resumed.experiment.model) == params_bytes(straight.experiment.model)
+        assert last.read_bytes() == (tmp_path / "straight" / "last.ckpt").read_bytes()
+
+
 class TestCheckpointReader:
     def test_restore_peak_is_parameters_only(self, tmp_path):
         # no optimizer moments and no second copy of the parameters: the

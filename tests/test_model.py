@@ -181,13 +181,15 @@ class TestPackedLayout:
             return losses.combined_loss(ce, losses.smooth_l1(pred, target), 100.0)
 
         def per_caption_loss():
-            ce, preds = 0.0, []
+            ce, preds = 0.0, 0.0
             for i, seq in enumerate(self.SEQS):
                 n = len(seq)
                 out = model.decode_teacher_forced(model.encode_project(feats[i]), np.array(seq))
                 ce = ce + losses.cross_entropy_smoothed(out.logits, tgt_ids[i, :n], None, 0.1) * (n / n_tokens)
-                preds.append(encoder.embed_vectors(model.ser_project(out.token_embeddings.reshape(1, n, 8))))
-            return losses.combined_loss(ce, losses.smooth_l1(ad.concat(preds, axis=0), target), 100.0)
+                pred = encoder.embed_vectors(model.ser_project(out.token_embeddings.reshape(1, n, 8)))
+                # row i of the stacked predictions; every other row adds an exact zero
+                preds = preds + ad.scatter_rows(pred, [i], (len(self.SEQS),))
+            return losses.combined_loss(ce, losses.smooth_l1(preds, target), 100.0)
 
         def gradients(loss_fn):
             for _, t in model.named_params():
@@ -208,17 +210,21 @@ class TestPackedLayout:
         with pytest.raises(ValueError, match="pad"):
             model.decode_teacher_forced(mem, tokens)
 
-    def test_training_forward_draws_the_padded_shapes(self):
+    def test_training_forward_draw_shapes(self):
+        # position-wise sites draw for the N real rows only; attention
+        # draws for its padded (B, h, L, .) weights
         cfg = tiny_config(dropout=0.2)
         m = CaptionerModel(cfg, seed=4)
-        feats, ids, _ = self.padded(35)
+        feats, ids, mask = self.padded(35)
         rng = np.random.default_rng(36)
         m.decode_teacher_forced(m.encode_project(feats), ids, rng=rng)
         (b, n), t, d, h = ids.shape, feats.shape[1], cfg.d_model, cfg.heads
+        real = int(mask.sum())
+        assert real < b * n
         want = np.random.default_rng(36)
-        want.random((b, n, d))
+        want.random((real, d))
         for _ in range(cfg.decoder_layers):
-            for shape in [(b, h, n, n), (b, n, d), (b, h, n, t), (b, n, d), (b, n, cfg.d_ff), (b, n, d)]:
+            for shape in [(b, h, n, n), (real, d), (b, h, n, t), (real, d), (real, cfg.d_ff), (real, d)]:
                 want.random(shape)
         assert rng.bit_generator.state == want.bit_generator.state
 
@@ -284,7 +290,7 @@ class TestStepLogits:
             L, S, d, h = x.shape[0], kv.shape[0], 4, 2
             dh = d // h
             q = (x @ w["Wq"] + w["bq"]).reshape(L, h, dh).transpose(1, 0, 2)
-            k = (kv @ w["Wk"] + w["bk"]).reshape(S, h, dh).transpose(1, 0, 2)
+            k = (kv @ w["Wk"]).reshape(S, h, dh).transpose(1, 0, 2)
             v = (kv @ w["Wv"] + w["bv"]).reshape(S, h, dh).transpose(1, 0, 2)
             scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
             if mask is not None:

@@ -3,6 +3,7 @@ import pytest
 
 from sercap import blas
 from sercap.autodiff import Tensor
+from sercap.model import CaptionerModel, ModelConfig
 from sercap.optim import AdamW, OptimConfig, clip_global_norm, cosine_lr, make_param_groups
 
 
@@ -97,6 +98,14 @@ class TestParamGroups:
         by_flag = {g.decay_exempt: set(g.names) for g in groups}
         assert by_flag[False] == {"layer.W", "ln.gamma"}
         assert by_flag[True] == {"layer.b", "ln.beta"}
+
+    def test_every_captioner_bias_is_exempt(self):
+        cfg = ModelConfig(vocab_size=7, d_model=8, decoder_layers=2, heads=2, d_ff=16,
+                          d_enc=5, d_sent=12, max_len=10)
+        named = CaptionerModel(cfg, seed=0).named_params()
+        by_flag = {g.decay_exempt: set(g.names) for g in make_param_groups(named)}
+        assert by_flag[True] == {n for n, t in named if t.ndim == 1 and not n.endswith(".gamma")}
+        assert by_flag[False] == {n for n, t in named if t.ndim == 2 or n.endswith(".gamma")}
 
     def test_every_param_exactly_once(self):
         params = _named(("a.W", np.ones(2)), ("a.b", np.ones(2)), ("emb.table", np.ones((2, 2))))
