@@ -9,13 +9,16 @@ scheduler slice, which makes decoding time swing from run to run.
 ``single_threaded`` runs a block on the calling thread alone and
 restores the previous thread count on exit.
 
-Work made of independent items (the length groups of captions that
-``harness._embed_captions_batch`` embeds) uses a second CPU better by
-items than by GEMM blocks: ``split_run`` runs one part of the items on
-the caller and the other on one helper thread, each with BLAS on one
-thread.  OpenBLAS
-shares a product among its threads by blocks of the output, so a
-one-thread product has the same bits and so do the split results.
+Work made of independent items uses a second CPU better by items than
+by GEMM blocks: ``split_run`` runs one part of the items on the caller
+and the other on one helper thread, each with BLAS on one thread.  Its
+users are the caption embedding's length groups
+(``harness._embed_captions_batch``), the two parts of every training
+batch, and each validation pass's beam decode beside its
+teacher-forced CE.  With every training product on one BLAS thread, no
+OpenBLAS worker is left spinning on the helper's CPU.  OpenBLAS shares a
+product among its threads by blocks of the output, so a one-thread
+product has the same bits and so do the split results.
 
 Only OpenBLAS builds that export ``openblas_{get,set}_num_threads``
 (plain, 64-bit-suffixed or scipy-openblas-prefixed) are controlled; with
@@ -119,9 +122,10 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _split_point(weights: list[float]) -> int:
+def split_point(weights: list[float]) -> int:
     """Index k in [1, n-1] at which the running weight of items[:k] comes
-    closest to half the total (the earlier k on a tie)."""
+    closest to half the total (the earlier k on a tie); 1 for fewer than
+    two weights."""
     half = sum(weights) / 2.0
     best, best_gap, running = 1, float("inf"), 0.0
     for k in range(1, len(weights)):
@@ -146,7 +150,7 @@ def split_run(run, items, weight) -> list:
     items = list(items)
     if len(items) < 2 or _cpu_count() < 2 or getattr(_helper_local, "active", False):
         return [run(x) for x in items]
-    k = _split_point([float(weight(x)) for x in items])
+    k = split_point([float(weight(x)) for x in items])
     with single_threaded():
         future = _helper().submit(lambda: [run(x) for x in items[k:]])
         try:

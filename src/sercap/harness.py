@@ -12,6 +12,7 @@ bitwise-identically.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -275,6 +276,23 @@ def save_checkpoint(
         raise
 
 
+def _link_or_save(src: Path, dst: Path, save) -> None:
+    """Make ``dst`` a hard link of checkpoint ``src``, or call ``save()``
+    to write it where the file system cannot link.
+
+    The link is made at ``dst``'s ``.tmp`` sibling and renamed over
+    ``dst``, as ``save_checkpoint`` writes; a later rewrite of either
+    name replaces that name's file and leaves the other one as it was.
+    """
+    tmp = dst.with_name(dst.name + ".tmp")
+    try:
+        os.link(src, tmp)
+    except OSError:
+        save()
+        return
+    os.replace(tmp, dst)
+
+
 class CheckpointReader:
     """An open checkpoint, read in two phases.
 
@@ -390,9 +408,9 @@ def restore_model(path: str | Path) -> tuple[CaptionerModel, SentenceEncoder, Vo
 
 
 def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
-    """Beam decode of every validation clip, eval-mode CE over every
-    (clip, reference) pair, then the decoded captions' sentence-similarity
-    and FENSE numbers."""
+    """Beam decode of every validation clip beside the eval-mode CE over
+    every (clip, reference) pair, then the decoded captions'
+    sentence-similarity and FENSE numbers."""
     model, cfg = exp.model, exp.config
     model.eval_mode()
 
@@ -406,19 +424,23 @@ def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
         for clip in exp.val_clips
         for _ in clip.captions
     ])
-    hyps = decode_split(model, [clip.features for clip in exp.val_clips], exp.decode_cfg, exp.vocab)
-    # the batches run in order on the caller: a helper thread would share
-    # its CPU with the OpenBLAS worker that spins on after the last
-    # training step's products
-    ce_num, ce_den = 0.0, 0.0
-    for i in range(0, len(pairs), cfg.batch_size):
-        in_ids, tgt_ids, mask = _teacher_forcing_batch(pairs[i : i + cfg.batch_size])
-        mem = model.encode_project(feats[i : i + cfg.batch_size])
-        out = model.decode_teacher_forced(mem, in_ids, training=False)
-        ce = cross_entropy_smoothed(out.logits, tgt_ids, mask, cfg.loss.label_smoothing)
-        ce_num += ce.item() * mask.sum()
-        ce_den += mask.sum()
-    val_ce = ce_num / ce_den
+
+    def decode() -> list[BeamHypothesis]:
+        return decode_split(model, [clip.features for clip in exp.val_clips], exp.decode_cfg, exp.vocab)
+
+    def teacher_forced_ce() -> float:
+        ce_num, ce_den = 0.0, 0.0
+        for i in range(0, len(pairs), cfg.batch_size):
+            in_ids, tgt_ids, mask = _teacher_forcing_batch(pairs[i : i + cfg.batch_size])
+            mem = model.encode_project(feats[i : i + cfg.batch_size])
+            out = model.decode_teacher_forced(mem, in_ids, training=False)
+            ce = cross_entropy_smoothed(out.logits, tgt_ids, mask, cfg.loss.label_smoothing)
+            ce_num += ce.item() * mask.sum()
+            ce_den += mask.sum()
+        return ce_num / ce_den
+
+    # the decode on the caller, the CE batches in order on the helper
+    hyps, val_ce = blas.split_run(lambda task: task(), [decode, teacher_forced_ce], weight=lambda task: 1.0)
 
     candidates = [detokenize(h.tokens, exp.vocab) for h in hyps]
     items = [EvalItem(c, clip.captions) for c, clip in zip(candidates, exp.val_clips)]
@@ -428,12 +450,84 @@ def _validation_pass(exp: Experiment, embed) -> tuple[float, float, float]:
     return float(val_ce), val_sbert, float(val_fense)
 
 
+@dataclass
+class _Part:
+    """One part of a training batch, run through its own model replica."""
+
+    net: CaptionerModel
+    seqs: list[list[int]]
+    feats: np.ndarray
+    targets: np.ndarray | None  # the SER targets, None with the branch off
+    token_share: float
+    caption_share: float
+    rng: np.random.Generator
+
+
+def _batch_parts(seqs, feats, targets, replicas, rngs) -> list[_Part]:
+    """A batch cut once, in order, into two parts whose real target tokens
+    balance best (``blas.split_point``), each weighted by its share of the
+    batch's target tokens and captions; a one-caption batch is one part.
+    The cut depends on the batch alone."""
+    tokens = [len(s) - 1 for s in seqs]
+    cuts = [0, blas.split_point(tokens), len(seqs)] if len(seqs) > 1 else [0, 1]
+    return [_Part(net, seqs[a:b], feats[a:b], None if targets is None else targets[a:b],
+                  sum(tokens[a:b]) / sum(tokens), (b - a) / len(seqs), rng)
+            for net, rng, a, b in zip(replicas, rngs, cuts, cuts[1:])]
+
+
+def _part_backward(exp: Experiment, part: _Part) -> float:
+    """One part's forward, weighted loss and backward, into its replica's
+    gradients; returns the weighted loss.  The token CE is a mean over the
+    part's tokens and the SER term over its captions, so the shares make
+    the parts' losses, and their gradients, sum to the whole batch's."""
+    cfg, net = exp.config, part.net
+    in_ids, tgt_ids, mask = _teacher_forcing_batch(part.seqs)
+    with Tape() as tape:
+        out = net.decode_teacher_forced(net.encode_project(part.feats), in_ids, rng=part.rng, training=True)
+        loss = cross_entropy_smoothed(out.logits, tgt_ids, mask, cfg.loss.label_smoothing) * part.token_share
+        if part.targets is not None:
+            pred = exp.encoder.embed_vectors(net.ser_project(out.token_embeddings), mask)
+            reg = ser_loss(pred, Tensor(part.targets), cfg.loss.ser_kind, cfg.loss.beta) * part.caption_share
+            loss = combined_loss(loss, reg, cfg.loss.ser_weight)
+    tape.backward(loss)
+    return loss.item()
+
+
+def _sum_part_grads(params: list[Tensor], replica_params: list[list[Tensor]]) -> None:
+    """Add each replica's gradient into its parameter's, in part order,
+    and clear the replica's."""
+    for t, *copies in zip(params, *replica_params):
+        for c in copies:
+            if c.grad is None:
+                continue
+            if t.grad is None:
+                t.grad = c.grad
+            else:
+                t.grad += c.grad
+            c.grad = None
+
+
 def train(
     config: ExperimentConfig,
     out_dir: str | Path,
     resume_from: str | Path | None = None,
     stop_after: int | None = None,
 ) -> TrainResult:
+    """Train ``config``'s captioner into ``out_dir`` (``best.ckpt``,
+    ``last.ckpt``, ``curve.csv``, ``fense_history.json``, ``manifest.json``).
+
+    Each batch is cut in two by ``_batch_parts``; ``blas.split_run`` runs
+    one part on the caller and the other on its helper thread (both in
+    order on the caller where the process may use one CPU), each part
+    through its own model replica with its own dropout generator, drawn
+    from the run's dropout stream.  The model's gradient is part 1's plus
+    part 2's.  The cut and the generators do not depend on the CPU count,
+    so neither do the bits of a run.  Each epoch's validation decode runs
+    beside its teacher-forced CE the same way.  When the last epoch was
+    also the best, ``last.ckpt`` is a hard link of ``best.ckpt``.
+    ``resume_from`` continues from a checkpoint's state, bit for bit as
+    the straight run; ``stop_after`` ends after that many epochs.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     exp = build_experiment(config)
@@ -494,37 +588,31 @@ def train(
             fense_history=fense_history,
         )
 
+    # every batch runs as two parts, each through its own replica of the
+    # model (the model's arrays, its own gradients) on its own tape
+    replicas = [model.replica(), model.replica()]
+    params = [t for _, t in model.named_params()]
+    replica_params = [[t for _, t in r.named_params()] for r in replicas]
+
     end_epoch = cfg.optim.epochs if stop_after is None else min(stop_after, cfg.optim.epochs)
     for epoch in range(start_epoch, end_epoch):
         lr = cosine_lr(epoch, cfg.optim.epochs, cfg.optim.lr0)
-        model.train_mode()
         order = shuffle_rng.permutation(n_train)
         epoch_losses = []
         for i in range(0, n_train, cfg.batch_size):
             batch_idx = order[i : i + cfg.batch_size]
-            seqs = [train_seqs[j] for j in batch_idx]
-            feats = np.stack([train_feats[j] for j in batch_idx])
-            in_ids, tgt_ids, mask = _teacher_forcing_batch(seqs)
-            with Tape() as tape:
-                memory = model.encode_project(feats)
-                out = model.decode_teacher_forced(memory, in_ids, rng=dropout_rng)
-                token_loss = cross_entropy_smoothed(
-                    out.logits, tgt_ids, mask, cfg.loss.label_smoothing
-                )
-                if ser_on:
-                    proj = model.ser_project(out.token_embeddings)
-                    pred = exp.encoder.embed_vectors(proj, mask)
-                    target = Tensor(np.stack(
-                        [train_targets[exp.train_clips[j].captions[0]] for j in batch_idx]
-                    ))
-                    reg = ser_loss(pred, target, cfg.loss.ser_kind, cfg.loss.beta)
-                    loss = combined_loss(token_loss, reg, cfg.loss.ser_weight)
-                else:
-                    loss = token_loss
-            if not np.isfinite(loss.item()):
+            targets = None
+            if ser_on:
+                targets = np.stack([train_targets[exp.train_clips[j].captions[0]] for j in batch_idx])
+            # one dropout generator per part, seeded from the run's stream
+            rngs = [np.random.default_rng(s) for s in dropout_rng.integers(2**63, size=2)]
+            parts = _batch_parts([train_seqs[j] for j in batch_idx], np.stack([train_feats[j] for j in batch_idx]),
+                                 targets, replicas, rngs)
+            loss = sum(blas.split_run(functools.partial(_part_backward, exp), parts, weight=lambda part: 1.0))
+            if not np.isfinite(loss):
                 checkpoint(out_dir / "diagnostic.ckpt", epoch)
                 raise NanLossError(f"non-finite loss at epoch {epoch}")
-            tape.backward(loss)
+            _sum_part_grads(params, replica_params)
             try:
                 clip_global_norm(optimizer.grads(), cfg.optim.clip_norm)
             except FloatingPointError as err:
@@ -532,7 +620,7 @@ def train(
                 raise NanLossError(f"non-finite gradient at epoch {epoch}: {err}") from err
             optimizer.step(lr)
             optimizer.zero_grad()
-            epoch_losses.append(loss.item())
+            epoch_losses.append(loss)
 
         val_ce, val_sbert, val_fense = _validation_pass(exp, embed)
         curve.append(CurveRow(epoch, float(np.mean(epoch_losses)), val_ce, val_sbert, lr))
@@ -542,7 +630,10 @@ def train(
             best_epoch = epoch
             checkpoint(best_path, epoch + 1)
 
-    checkpoint(last_path, end_epoch)
+    if start_epoch < end_epoch and best_epoch == end_epoch - 1:  # best.ckpt holds this very state
+        _link_or_save(best_path, last_path, lambda: checkpoint(last_path, end_epoch))
+    else:
+        checkpoint(last_path, end_epoch)
     write_curve(curve, out_dir / "curve.csv")
     (out_dir / "fense_history.json").write_text(
         json.dumps({"val_fense": fense_history, "best_epoch": best_epoch}, indent=2) + "\n"

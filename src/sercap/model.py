@@ -29,6 +29,7 @@ lets gradients reach the captioner through the regression branch.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -234,6 +235,16 @@ class CaptionerModel:
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return self.params.named()
+
+    def replica(self) -> "CaptionerModel":
+        """A model over this one's parameter arrays whose parameter Tensors,
+        and so whose gradients, are its own: two threads can each run a
+        tape through their own replica at once."""
+        twin = copy.copy(self)
+        twin.params = ParamSet()
+        for name, t in self.named_params():
+            twin.params.add(name, t.data, requires_grad=t.requires_grad)
+        return twin
 
     def n_trainable(self) -> int:
         return self.params.n_elements()

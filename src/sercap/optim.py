@@ -105,6 +105,11 @@ class AdamW:
     theta", applied before the moment update and skipped for exempt
     groups; with zero gradients non-exempt parameters follow the exact
     contraction law theta' = theta (1 - lr wd).
+
+    Moments and parameters are updated in place, with the operations of
+    the formulas above in their order, so a parameter's array keeps its
+    identity across steps; the temporaries live in one scratch buffer.
+    A gradient of None counts as zero.
     """
 
     def __init__(self, groups: list[ParamGroup], config: OptimConfig):
@@ -120,6 +125,8 @@ class AdamW:
                     "m": np.zeros_like(t.data),
                     "v": np.zeros_like(t.data),
                 }
+        size = max((t.data.size for g in groups for t in g.tensors), default=0)
+        self._scratch = np.empty((2, size))
 
     def grads(self) -> list[np.ndarray]:
         """Gradient buffers of all parameters, for clipping."""
@@ -138,23 +145,36 @@ class AdamW:
         bc1 = 1.0 - cfg.beta1**t
         bc2 = 1.0 - cfg.beta2**t
         for group in self.groups:
+            decay = not group.decay_exempt and cfg.weight_decay > 0
             for name, p in zip(group.names, group.tensors):
                 g = p.grad if p.grad is not None else np.zeros_like(p.data)
                 if g.shape != p.data.shape:
                     raise ValueError(f"gradient shape mismatch for {name}")
                 st = self.state[name]
-                st["m"] = cfg.beta1 * st["m"] + (1.0 - cfg.beta1) * g
-                st["v"] = cfg.beta2 * st["v"] + (1.0 - cfg.beta2) * (g * g)
-                mhat = st["m"] / bc1
-                vhat = st["v"] / bc2
-                if not group.decay_exempt and cfg.weight_decay > 0:
-                    p.data = p.data * (1.0 - lr * cfg.weight_decay)
-                p.data = p.data - lr * (mhat / (np.sqrt(vhat) + cfg.eps))
+                m, v = st["m"], st["v"]
+                s1, s2 = (s[: g.size].reshape(g.shape) for s in self._scratch)
+                m *= cfg.beta1
+                m += np.multiply(g, 1.0 - cfg.beta1, out=s1)
+                v *= cfg.beta2
+                s1 = np.multiply(g, g, out=s1)
+                s1 *= 1.0 - cfg.beta2
+                v += s1
+                # s1 <- sqrt(vhat) + eps, s2 <- lr mhat / s1
+                np.divide(v, bc2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += cfg.eps
+                np.divide(m, bc1, out=s2)
+                s2 /= s1
+                s2 *= lr
+                if decay:
+                    p.data *= 1.0 - lr * cfg.weight_decay
+                p.data -= s2
 
     def zero_grad(self) -> None:
+        """Drop every gradient; the next backward starts a fresh buffer."""
         for group in self.groups:
             for t in group.tensors:
-                t.zero_grad()
+                t.grad = None
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Flat (key, array) view of the moment buffers, for checkpoints."""

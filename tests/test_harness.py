@@ -139,7 +139,8 @@ class TestSentenceEmbedder:
 
 class TestSplitWork:
     """Embedding groups shared with the helper thread give the serial
-    results bit for bit; the validation CE batches run on the caller."""
+    results bit for bit; the validation CE batches run in order on the
+    helper, beside the decode on the caller."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -389,6 +390,143 @@ class TestResume:
         rows = read_curve(tmp_path / "run" / "curve.csv")
         assert [r.epoch for r in rows] == [0, 1, 2, 3]
         assert len(res.curve) == 4
+
+
+class TestBatchParts:
+    """Every batch trains as two parts, each on its own replica and tape."""
+
+    def test_run_bits_independent_of_cpu_count(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        assert cfg.model.dropout > 0 and cfg.loss.ser_weight > 0
+        threads = set()
+        real = model.CaptionerModel.decode_teacher_forced
+
+        def spied(self, *args, **kwargs):
+            if kwargs.get("training"):
+                threads.add(threading.get_ident())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(model.CaptionerModel, "decode_teacher_forced", spied)
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2):
+            monkeypatch.setattr(blas, "_cpu_count", lambda: cpus)
+            threads.clear()
+            # frequent thread switches interleave the two parts finely
+            sys.setswitchinterval(1e-5)
+            try:
+                train(tiny_config(), tmp_path / f"cpus{cpus}")
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threads) == cpus
+        for name in ("last.ckpt", "curve.csv", "fense_history.json"):
+            assert (tmp_path / "cpus1" / name).read_bytes() == (tmp_path / "cpus2" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("kind, lam", [("smooth_l1", 100.0), ("mse", 100.0), ("l1", 100.0),
+                                           ("cosine", 100.0), ("smooth_l1", 0.0)])
+    def test_part_gradients_sum_to_the_batch_gradient(self, kind, lam):
+        cfg = tiny_config(model__dropout=0.0, loss__ser_kind=kind, loss__ser_weight=lam,
+                          loss__ser_branch="on")
+        exp = build_experiment(cfg)
+        clips = exp.train_clips[:5]
+        seqs = [tokenize(c.captions[0], exp.vocab) for c in clips]
+        assert len({len(s) for s in seqs}) > 1
+        feats = np.stack([c.features for c in clips])
+        vectors = _embed_captions_batch(exp.encoder, exp.sent_vocab, [c.captions[0] for c in clips])
+        targets = np.stack([vectors[c.captions[0]] for c in clips])
+
+        net = exp.model
+        in_ids, tgt_ids, mask = harness._teacher_forcing_batch(seqs)
+        with autodiff.Tape() as tape:
+            out = net.decode_teacher_forced(net.encode_project(feats), in_ids, training=True)
+            ce = harness.cross_entropy_smoothed(out.logits, tgt_ids, mask, cfg.loss.label_smoothing)
+            pred = exp.encoder.embed_vectors(net.ser_project(out.token_embeddings), mask)
+            reg = harness.ser_loss(pred, autodiff.Tensor(targets), kind, cfg.loss.beta)
+            loss = harness.combined_loss(ce, reg, lam)
+        tape.backward(loss)
+        want = {name: t.grad for name, t in net.named_params()}
+
+        replicas = [net.replica(), net.replica()]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        parts = harness._batch_parts(seqs, feats, targets, replicas, rngs)
+        assert len(parts) == 2 and all(p.seqs for p in parts)
+        got_loss = sum(harness._part_backward(exp, p) for p in parts)
+        for _, t in net.named_params():
+            t.grad = None
+        harness._sum_part_grads([t for _, t in net.named_params()],
+                                [[t for _, t in r.named_params()] for r in replicas])
+        np.testing.assert_allclose(got_loss, loss.item(), rtol=1e-12)
+        for name, t in net.named_params():
+            assert all(r.params[name].grad is None and r.params[name].data is t.data for r in replicas)
+            np.testing.assert_allclose(t.grad, want[name], rtol=1e-12, atol=1e-12 * np.abs(want[name]).max(),
+                                       err_msg=name)
+
+    def test_cut_balances_target_tokens_in_batch_order(self):
+        seqs = [[BOS_ID] + [5] * n for n in (3, 1, 1, 1, 4)]
+        replicas, rngs = ["net0", "net1"], ["rng0", "rng1"]
+        feats = np.arange(5.0)
+        parts = harness._batch_parts(seqs, feats, None, replicas, rngs)
+        # target tokens 3, 1, 1, 1, 4: the first three weigh 5 of 10
+        assert [p.seqs for p in parts] == [seqs[:3], seqs[3:]]
+        assert [p.feats.tolist() for p in parts] == [[0.0, 1.0, 2.0], [3.0, 4.0]]
+        assert [(p.net, p.rng, p.targets) for p in parts] == [("net0", "rng0", None), ("net1", "rng1", None)]
+        assert [(p.token_share, p.caption_share) for p in parts] == [(0.5, 0.6), (0.5, 0.4)]
+        one = harness._batch_parts(seqs[:1], feats[:1], np.ones((1, 2)), replicas, rngs)
+        assert [(p.net, p.token_share, p.caption_share) for p in one] == [("net0", 1.0, 1.0)]
+
+    def test_one_caption_batch_trains(self, tmp_path, monkeypatch):
+        cfg = tiny_config(corpus__n_train=5, optim__epochs=1)
+        before = params_bytes(build_experiment(tiny_config(corpus__n_train=5)).model)
+        sizes = []
+        real = harness._batch_parts
+
+        def recorded(seqs, *args):
+            sizes.append(len(seqs))
+            return real(seqs, *args)
+
+        monkeypatch.setattr(harness, "_batch_parts", recorded)
+        res = train(cfg, tmp_path / "run")
+        assert sizes == [4, 1]
+        assert np.isfinite(res.curve[0].train_loss)
+        assert params_bytes(res.experiment.model) != before
+
+
+class TestLastCheckpointLink:
+    """When the last epoch is also the best, last.ckpt is a hard link of
+    best.ckpt instead of a second write of the same bytes."""
+
+    def test_linked_last_equals_a_written_one(self, tmp_path, monkeypatch):
+        linked = train(tiny_config(optim__epochs=1), tmp_path / "linked")
+        assert linked.best_epoch == 0
+        assert os.path.samefile(linked.best_ckpt, linked.last_ckpt)
+
+        def no_link(src, dst):
+            raise OSError("links not supported")
+
+        monkeypatch.setattr(harness.os, "link", no_link)
+        written = train(tiny_config(optim__epochs=1), tmp_path / "written")
+        assert not os.path.samefile(written.best_ckpt, written.last_ckpt)
+        assert not (tmp_path / "written" / "last.ckpt.tmp").exists()
+        assert linked.last_ckpt.read_bytes() == written.last_ckpt.read_bytes()
+
+    def test_rewriting_last_leaves_best(self, tmp_path):
+        res = train(tiny_config(optim__epochs=1), tmp_path / "run")
+        best = res.best_ckpt.read_bytes()
+
+        def shift(net):
+            net.params["enc_proj.b"].data += 1.0
+
+        resave(res.last_ckpt, res.last_ckpt, corrupt=shift)
+        assert res.last_ckpt.read_bytes() != best
+        assert res.best_ckpt.read_bytes() == best
+
+    def test_resume_from_linked_last_equals_straight_run(self, tmp_path):
+        straight = train(tiny_config(optim__epochs=3), tmp_path / "straight")
+        first = train(tiny_config(optim__epochs=3), tmp_path / "split", stop_after=1)
+        assert os.path.samefile(first.best_ckpt, first.last_ckpt)
+        resumed = train(tiny_config(optim__epochs=3), tmp_path / "split", resume_from=first.last_ckpt)
+        assert params_bytes(resumed.experiment.model) == params_bytes(straight.experiment.model)
+        for name in ("last.ckpt", "best.ckpt", "fense_history.json", "curve.csv"):
+            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "straight" / name).read_bytes(), name
 
 
 def resave(src: Path, dst: Path, corrupt=None) -> None:

@@ -177,6 +177,50 @@ class TestAdamW:
             theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
             np.testing.assert_allclose(p.data, theta, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("wd", [0.0, 2.0])
+    def test_in_place_step_equals_the_rebinding_formula_bytewise(self, wd):
+        """Each step updates the moments and parameters in place, byte-equal
+        to the formula evaluated into new arrays, a zero gradient included."""
+        rng = np.random.default_rng(11)
+        shapes = {"w.W": (5, 3), "w.b": (3,), "emb.table": (4, 2)}
+        params = {name: Tensor(rng.normal(0, 1, shape), requires_grad=True) for name, shape in shapes.items()}
+        arrays = {name: p.data for name, p in params.items()}
+        want = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        cfg = OptimConfig(lr0=1e-2, weight_decay=wd)
+        opt = AdamW(make_param_groups(list(params.items())), cfg)
+        b1, b2 = cfg.beta1, cfg.beta2
+        for t in range(1, 7):
+            lr = 1e-2 / t
+            grads = {name: rng.normal(0, 1, shape) for name, shape in shapes.items()}
+            if t == 3:
+                grads["w.W"] = np.zeros(shapes["w.W"])
+            for name, p in params.items():
+                p.grad = None if t == 3 and name == "w.W" else grads[name].copy()
+            opt.step(lr)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                mhat = m[name] / (1.0 - b1**t)
+                vhat = v[name] / (1.0 - b2**t)
+                if name != "w.b" and wd > 0:
+                    want[name] = want[name] * (1.0 - lr * wd)
+                want[name] = want[name] - lr * (mhat / (np.sqrt(vhat) + cfg.eps))
+            for name, p in params.items():
+                assert p.data is arrays[name]
+                assert p.data.tobytes() == want[name].tobytes(), (t, name)
+                assert opt.state[name]["m"].tobytes() == m[name].tobytes()
+                assert opt.state[name]["v"].tobytes() == v[name].tobytes()
+
+    def test_zero_grad_drops_the_gradients(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        p.grad = np.ones(3)
+        opt = AdamW(make_param_groups([("w.W", p)]), OptimConfig())
+        opt.zero_grad()
+        assert p.grad is None
+        assert [g.tobytes() for g in opt.grads()] == [np.zeros(3).tobytes()]
+
 
 class TestOptimConfig:
     def test_defaults(self):
