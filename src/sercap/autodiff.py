@@ -66,9 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 

@@ -276,23 +276,6 @@ def save_checkpoint(
         raise
 
 
-def _link_or_save(src: Path, dst: Path, save) -> None:
-    """Make ``dst`` a hard link of checkpoint ``src``, or call ``save()``
-    to write it where the file system cannot link.
-
-    The link is made at ``dst``'s ``.tmp`` sibling and renamed over
-    ``dst``, as ``save_checkpoint`` writes; a later rewrite of either
-    name replaces that name's file and leaves the other one as it was.
-    """
-    tmp = dst.with_name(dst.name + ".tmp")
-    try:
-        os.link(src, tmp)
-    except OSError:
-        save()
-        return
-    os.replace(tmp, dst)
-
-
 class CheckpointReader:
     """An open checkpoint, read in two phases.
 
@@ -493,18 +476,17 @@ def _part_backward(exp: Experiment, part: _Part) -> float:
     return loss.item()
 
 
-def _sum_part_grads(params: list[Tensor], replica_params: list[list[Tensor]]) -> None:
-    """Add each replica's gradient into its parameter's, in part order,
-    and clear the replica's."""
-    for t, *copies in zip(params, *replica_params):
-        for c in copies:
-            if c.grad is None:
+def _sum_part_grads(model: CaptionerModel, replicas: list[CaptionerModel]) -> None:
+    """Add each replica's gradient into the model's, in part order."""
+    for name, t in model.named_params():
+        for r in replicas:
+            g = r.params[name].grad
+            if g is None:
                 continue
             if t.grad is None:
-                t.grad = c.grad
+                t.grad = g
             else:
-                t.grad += c.grad
-            c.grad = None
+                t.grad += g
 
 
 def train(
@@ -523,8 +505,7 @@ def train(
     from the run's dropout stream.  The model's gradient is part 1's plus
     part 2's.  The cut and the generators do not depend on the CPU count,
     so neither do the bits of a run.  Each epoch's validation decode runs
-    beside its teacher-forced CE the same way.  When the last epoch was
-    also the best, ``last.ckpt`` is a hard link of ``best.ckpt``.
+    beside its teacher-forced CE the same way.
     ``resume_from`` continues from a checkpoint's state, bit for bit as
     the straight run; ``stop_after`` ends after that many epochs.
     """
@@ -588,12 +569,6 @@ def train(
             fense_history=fense_history,
         )
 
-    # every batch runs as two parts, each through its own replica of the
-    # model (the model's arrays, its own gradients) on its own tape
-    replicas = [model.replica(), model.replica()]
-    params = [t for _, t in model.named_params()]
-    replica_params = [[t for _, t in r.named_params()] for r in replicas]
-
     end_epoch = cfg.optim.epochs if stop_after is None else min(stop_after, cfg.optim.epochs)
     for epoch in range(start_epoch, end_epoch):
         lr = cosine_lr(epoch, cfg.optim.epochs, cfg.optim.lr0)
@@ -604,7 +579,11 @@ def train(
             targets = None
             if ser_on:
                 targets = np.stack([train_targets[exp.train_clips[j].captions[0]] for j in batch_idx])
-            # one dropout generator per part, seeded from the run's stream
+            # each part runs on its own tape through its own replica of the
+            # model (the model's arrays, its own gradients), made each step so
+            # that it reads the arrays the model holds now, and with its own
+            # dropout generator, seeded from the run's stream
+            replicas = [model.replica(), model.replica()]
             rngs = [np.random.default_rng(s) for s in dropout_rng.integers(2**63, size=2)]
             parts = _batch_parts([train_seqs[j] for j in batch_idx], np.stack([train_feats[j] for j in batch_idx]),
                                  targets, replicas, rngs)
@@ -612,7 +591,7 @@ def train(
             if not np.isfinite(loss):
                 checkpoint(out_dir / "diagnostic.ckpt", epoch)
                 raise NanLossError(f"non-finite loss at epoch {epoch}")
-            _sum_part_grads(params, replica_params)
+            _sum_part_grads(model, replicas)
             try:
                 clip_global_norm(optimizer.grads(), cfg.optim.clip_norm)
             except FloatingPointError as err:
@@ -630,10 +609,7 @@ def train(
             best_epoch = epoch
             checkpoint(best_path, epoch + 1)
 
-    if start_epoch < end_epoch and best_epoch == end_epoch - 1:  # best.ckpt holds this very state
-        _link_or_save(best_path, last_path, lambda: checkpoint(last_path, end_epoch))
-    else:
-        checkpoint(last_path, end_epoch)
+    checkpoint(last_path, end_epoch)
     write_curve(curve, out_dir / "curve.csv")
     (out_dir / "fense_history.json").write_text(
         json.dumps({"val_fense": fense_history, "best_epoch": best_epoch}, indent=2) + "\n"

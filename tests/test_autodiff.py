@@ -277,8 +277,11 @@ class TestBackward:
                 loss = x.sum()
             tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
-        x.zero_grad()
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        x.grad = None
+        with Tape() as tape:
+            loss = x.sum()
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
     def test_grads_finite_after_backward(self):
         x = rand((4, 4), seed=13)
