@@ -14,27 +14,20 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import ConfigError, ExperimentConfig, apply_settings, parse_config
-from .data import EventGrammar, dataset_stats, generate_split, load_features, save_captions, save_features
-from .harness import (NanLossError, decode_split, plot_curves, restore_model, run_ablation,
-                      sentence_embedder, train)
+from .config import ConfigError, apply_settings, parse_config
+from .data import dataset_stats, load_features, save_captions, save_features
+from .harness import (NanLossError, build_encoder, corpus_splits, decode_split, plot_curves,
+                      restore_model, run_ablation, sentence_embedder, train)
 from .metrics import EvalItem, FluencyLexicons, evaluate_corpus
-from .model import SentenceEncoder
 from .text import build_vocab, detokenize
 
 
 def _cmd_synth_data(args) -> int:
+    _, splits = corpus_splits(parse_config(args.config, args.set))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grammar = EventGrammar(d_enc=args.d_enc, seed=args.grammar_seed)
-    splits = {
-        "train": (args.seed, args.n_train, 1),
-        "val": (args.seed + 1000, args.n_val, 5),
-        "test": (args.seed + 2000, args.n_test, 5),
-    }
     summary = {}
-    for name, (seed, n, refs) in splits.items():
-        clips = generate_split(grammar, seed, n, refs, args.noise_sigma, args.frames, prefix=name)
+    for name, clips in splits.items():
         save_features(clips, out / f"{name}_features.bin")
         save_captions(clips, out / f"{name}_captions.jsonl")
         summary[name] = dataset_stats(clips)
@@ -81,6 +74,7 @@ def _read_references(path: str | Path) -> list[list[str]]:
 
 
 def _cmd_evaluate(args) -> int:
+    config = parse_config(args.config, args.set)
     candidates = [l for l in Path(args.candidates).read_text().splitlines() if l.strip()]
     references = _read_references(args.references)
     if len(candidates) != len(references):
@@ -95,11 +89,10 @@ def _cmd_evaluate(args) -> int:
     # the references alone fix the encoder, so an item's score does not
     # depend on the other items' candidates
     vocab = build_vocab([r for refs in references for r in refs], kind="subword",
-                        target_size=args.vocab_size)
-    encoder = SentenceEncoder(vocab.size, d_sent=args.d_sent, seed=args.encoder_seed)
-    embed = sentence_embedder(encoder, vocab)
+                        target_size=config.subword_vocab_size)
+    embed = sentence_embedder(build_encoder(config.model, vocab), vocab)
     report = evaluate_corpus(items, embedder=embed, lexicons=FluencyLexicons.default(),
-                             spice_per_item=spice)
+                             spice_per_item=spice, sbert_agg=config.sbert_agg)
     report.save(args.out)
     print(json.dumps({k: v for k, v in report.to_dict().items() if k != "per_item"}, indent=2))
     return 0
@@ -151,20 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sercap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # defaults come from the config dataclasses, so the CLI cannot drift from them
-    defaults = ExperimentConfig()
-    corpus = defaults.corpus
-
     p = sub.add_parser("synth-data", help="generate the synthetic corpus splits")
+    p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=corpus.seed)
-    p.add_argument("--grammar-seed", type=int, default=corpus.grammar_seed)
-    p.add_argument("--n-train", type=int, default=corpus.n_train)
-    p.add_argument("--n-val", type=int, default=corpus.n_val)
-    p.add_argument("--n-test", type=int, default=corpus.n_test)
-    p.add_argument("--noise-sigma", type=float, default=corpus.noise_sigma)
-    p.add_argument("--frames", type=int, default=corpus.frames)
-    p.add_argument("--d-enc", type=int, default=defaults.model.d_enc)
+    _add_set(p)
     p.set_defaults(func=_cmd_synth_data)
 
     p = sub.add_parser("train", help="train one run from a config file")
@@ -186,9 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--spice-scores")
-    p.add_argument("--vocab-size", type=int, default=defaults.subword_vocab_size)
-    p.add_argument("--d-sent", type=int, default=defaults.model.d_sent)
-    p.add_argument("--encoder-seed", type=int, default=defaults.model.sent_seed)
+    p.add_argument("--config")
+    _add_set(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run the tokenizer x lambda x wd grid")

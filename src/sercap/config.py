@@ -1,19 +1,23 @@
 """Experiment configuration.
 
 One dataclass bundle per run, serialized as a flat ``section.key=value``
-text file (comments start with ``#``).  File keys are short names
-(``loss.lambda``, ``optim.wd``, ``decode.beam``) that map onto the
-dataclass fields below; the command line's ``--set key=value`` overrides
-go through the same code as a file's lines; ``to_manifest`` spells out every
-effective value so two machines produce identical manifests for the same
-config.
+text file (comments start with ``#``).  The dataclass fields below are the
+only list of what can be configured: a field's file key is
+``section.field`` (``experiment.field`` at the top level), four fields
+have shorter spellings (``model.layers``, ``loss.lambda``, ``optim.wd``,
+``decode.beam``), and two are not keys at all (``model.vocab_size``
+comes from the data, ``decode.stopwords`` is the shipped list).
+``apply_settings`` is the one place a ``key=value`` is applied: a file's
+lines, ``--set`` overrides and a checkpoint header's config all go
+through it.  ``to_manifest`` spells out every effective value so two
+machines produce identical manifests for the same config.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .decoding import DecodeConfig
 from .losses import LossConfig
@@ -58,80 +62,43 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # re-run the sections' own checks, which fields set after
-        # construction have bypassed
-        self.loss.__post_init__()
-        self.optim.__post_init__()
+        # construction have bypassed; model.vocab_size is data-dependent,
+        # so the model section is validated once the vocabulary is built
+        for section in (self.loss, self.optim, self.decode, self.corpus):
+            section.validate()
         if self.tokenizer not in ("word", "subword"):
             raise ValueError(f"tokenizer must be word or subword, got {self.tokenizer!r}")
         if self.batch_size < 1 or self.n_seeds < 1:
             raise ValueError("batch_size and n_seeds must be >= 1")
         if self.decode.max_len > self.model.max_len:
             raise ValueError("decode.max_len cannot exceed model.max_len")
-        self.corpus.validate()
-        self.decode.validate()
-        # model.vocab_size is data-dependent; validated after vocab build
 
 
-# file key -> (section attribute, dataclass field); section "" = top level
-_KEYMAP: dict[str, tuple[str, str]] = {
-    "model.d_model": ("model", "d_model"),
-    "model.layers": ("model", "decoder_layers"),
-    "model.heads": ("model", "heads"),
-    "model.d_ff": ("model", "d_ff"),
-    "model.dropout": ("model", "dropout"),
-    "model.d_enc": ("model", "d_enc"),
-    "model.d_sent": ("model", "d_sent"),
-    "model.max_len": ("model", "max_len"),
-    "model.sent_layers": ("model", "sent_layers"),
-    "model.sent_heads": ("model", "sent_heads"),
-    "model.sent_seed": ("model", "sent_seed"),
-    "loss.label_smoothing": ("loss", "label_smoothing"),
-    "loss.lambda": ("loss", "ser_weight"),
-    "loss.beta": ("loss", "beta"),
-    "loss.ser_kind": ("loss", "ser_kind"),
-    "loss.ser_branch": ("loss", "ser_branch"),
-    "optim.lr0": ("optim", "lr0"),
-    "optim.beta1": ("optim", "beta1"),
-    "optim.beta2": ("optim", "beta2"),
-    "optim.eps": ("optim", "eps"),
-    "optim.wd": ("optim", "weight_decay"),
-    "optim.clip_norm": ("optim", "clip_norm"),
-    "optim.epochs": ("optim", "epochs"),
-    "decode.beam": ("decode", "beam_size"),
-    "decode.min_len": ("decode", "min_len"),
-    "decode.max_len": ("decode", "max_len"),
-    "corpus.grammar_seed": ("corpus", "grammar_seed"),
-    "corpus.seed": ("corpus", "seed"),
-    "corpus.n_train": ("corpus", "n_train"),
-    "corpus.n_val": ("corpus", "n_val"),
-    "corpus.n_test": ("corpus", "n_test"),
-    "corpus.noise_sigma": ("corpus", "noise_sigma"),
-    "corpus.frames": ("corpus", "frames"),
-    "experiment.tokenizer": ("", "tokenizer"),
-    "experiment.subword_vocab_size": ("", "subword_vocab_size"),
-    "experiment.n_seeds": ("", "n_seeds"),
-    "experiment.batch_size": ("", "batch_size"),
-    "experiment.seed": ("", "seed"),
-    "experiment.sbert_agg": ("", "sbert_agg"),
-}
+# fields whose file key is spelled differently, and fields that are not keys
+_SPELLING = {"decoder_layers": "layers", "ser_weight": "lambda", "weight_decay": "wd",
+             "beam_size": "beam"}
+_NOT_KEYS = {"model.vocab_size", "decode.stopwords"}
 
 
-def _field_type(obj, name: str):
-    for f in fields(obj):
-        if f.name == name:
-            return f.type
-    raise KeyError(name)
+def _derive_keymap() -> dict[str, tuple[str, str, type]]:
+    """File key -> (section attribute, dataclass field, field type), from
+    the fields of ``ExperimentConfig`` and its sections; section "" is the
+    top level."""
+    keymap = {}
+    hints = get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        section = hints[f.name]
+        if not is_dataclass(section):
+            keymap[f"experiment.{f.name}"] = ("", f.name, section)
+            continue
+        section_hints = get_type_hints(section)
+        for g in fields(section):
+            if f"{f.name}.{g.name}" not in _NOT_KEYS:
+                keymap[f"{f.name}.{_SPELLING.get(g.name, g.name)}"] = (f.name, g.name, section_hints[g.name])
+    return keymap
 
 
-def _coerce(value: str, typ) -> object:
-    typ = str(typ)
-    if "int" in typ:
-        return int(value)
-    if "float" in typ:
-        return float(value)
-    if "bool" in typ:
-        return value.lower() in ("1", "true", "yes")
-    return value
+_KEYMAP = _derive_keymap()
 
 
 class ConfigError(ValueError):
@@ -162,10 +129,10 @@ def apply_settings(cfg: ExperimentConfig, entries: Iterable[tuple[str, str]],
             raise ConfigError(f"{source}: unknown config key {key!r}")
         if not key.startswith(prefix):
             raise ConfigError(f"{source}: only {prefix}* keys can be set here, got {key!r}")
-        section, attr = _KEYMAP[key]
+        section, attr, typ = _KEYMAP[key]
         target = cfg if section == "" else getattr(cfg, section)
         try:
-            setattr(target, attr, _coerce(value, _field_type(target, attr)))
+            setattr(target, attr, typ(value))  # every key is an int, float or str
         except ValueError as err:
             raise ConfigError(f"{source}: {key}: {err}") from err
     try:
@@ -178,7 +145,7 @@ def apply_settings(cfg: ExperimentConfig, entries: Iterable[tuple[str, str]],
 def to_manifest(cfg: ExperimentConfig) -> dict:
     """Every effective value, suitable for JSON with sorted keys."""
     out = {}
-    for key, (section, attr) in _KEYMAP.items():
+    for key, (section, attr, _) in _KEYMAP.items():
         target = cfg if section == "" else getattr(cfg, section)
         out[key] = getattr(target, attr)
     out["model.vocab_size"] = cfg.model.vocab_size
@@ -186,21 +153,18 @@ def to_manifest(cfg: ExperimentConfig) -> dict:
 
 
 def from_manifest(manifest: dict) -> ExperimentConfig:
-    """The config a checkpoint header records.  A key this version cannot
-    apply raises ``ConfigError`` naming it."""
+    """The config a checkpoint header records, coerced and validated as a
+    config file's lines are.  A key this version cannot apply raises
+    ``ConfigError`` naming it."""
     cfg = ExperimentConfig()
+    entries = []
     for key, value in manifest.items():
         if key == "model.vocab_size":
             cfg.model.vocab_size = int(value)
-            continue
-        if key == "decode.stopwords_file" and value == "":
-            continue  # removed key; empty meant the shipped list, the only one now
-        if key not in _KEYMAP:
-            raise ConfigError(f"checkpoint config key {key}={value!r} is not supported")
-        section, attr = _KEYMAP[key]
-        target = cfg if section == "" else getattr(cfg, section)
-        setattr(target, attr, value)
-    return cfg
+        elif not (key == "decode.stopwords_file" and value == ""):
+            # that removed key, when empty, meant the shipped list, the only one now
+            entries.append(("checkpoint", f"{key}={value}"))
+    return apply_settings(cfg, entries)
 
 
 def save_manifest(cfg: ExperimentConfig, path: str | Path, extra: dict | None = None) -> None:
@@ -212,12 +176,6 @@ def save_manifest(cfg: ExperimentConfig, path: str | Path, extra: dict | None = 
 
 def clone(cfg: ExperimentConfig, **section_updates) -> ExperimentConfig:
     """Deep-copy an experiment config, replacing whole sections or fields."""
-    return replace(
-        cfg,
-        model=replace(cfg.model, **section_updates.pop("model", {})),
-        loss=replace(cfg.loss, **section_updates.pop("loss", {})),
-        optim=replace(cfg.optim, **section_updates.pop("optim", {})),
-        decode=replace(cfg.decode, **section_updates.pop("decode", {})),
-        corpus=replace(cfg.corpus, **section_updates.pop("corpus", {})),
-        **section_updates,
-    )
+    sections = {f.name: replace(getattr(cfg, f.name), **section_updates.pop(f.name, {}))
+                for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))}
+    return replace(cfg, **sections, **section_updates)

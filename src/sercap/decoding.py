@@ -28,7 +28,7 @@ test oracle, and the per-hypothesis reference search of the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,11 +102,6 @@ def beam_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary) -> BeamHypo
     """Highest log-prob finished hypothesis under the constraint masks:
     the one-clip case of ``decode_corpus``."""
     return decode_corpus([memory], model, cfg, vocab)[0]
-
-
-def greedy_search(memory, model, cfg: DecodeConfig, vocab: Vocabulary) -> BeamHypothesis:
-    """Greedy decoding: the beam-size-1 special case of the same search."""
-    return beam_search(memory, model, replace(cfg, beam_size=1), vocab)
 
 
 def decode_corpus(memories, model, cfg: DecodeConfig, vocab: Vocabulary) -> list[BeamHypothesis]:

@@ -32,7 +32,7 @@ from .decoding import BeamHypothesis, DecodeConfig, decode_corpus
 from .losses import combined_loss, cross_entropy_smoothed, ser_loss
 from .metrics import (EvalItem, FluencyLexicons, MetricReport, evaluate_corpus, fense_compose,
                       has_fluency_error, sbert_metric)
-from .model import CaptionerModel, SentenceEncoder, pad_sequences
+from .model import CaptionerModel, ModelConfig, SentenceEncoder, pad_sequences
 from .optim import AdamW, clip_global_norm, cosine_lr, make_param_groups
 from .text import Vocabulary, build_vocab, detokenize, subword_tokenize, tokenize
 
@@ -84,15 +84,22 @@ class TrainResult:
     encoder_hash_after: str
 
 
+def corpus_splits(config: ExperimentConfig) -> tuple[EventGrammar, dict[str, list[CaptionedClip]]]:
+    """The grammar and the train/val/test splits that ``config`` describes:
+    one reference per training clip, five per validation and test clip."""
+    c = config.corpus
+    grammar = EventGrammar(d_enc=config.model.d_enc, seed=c.grammar_seed)
+    splits = {name: generate_split(grammar, c.seed + offset, n, refs, c.noise_sigma, c.frames, prefix=name)
+              for name, offset, n, refs in (("train", 0, c.n_train, 1), ("val", 1000, c.n_val, 5),
+                                            ("test", 2000, c.n_test, 5))}
+    return grammar, splits
+
+
 def build_experiment(config: ExperimentConfig) -> Experiment:
     config.validate()
-    grammar = EventGrammar(d_enc=config.model.d_enc, seed=config.corpus.grammar_seed)
-    c = config.corpus
-    train_clips = generate_split(grammar, c.seed, c.n_train, 1, c.noise_sigma, c.frames, prefix="train")
-    val_clips = generate_split(grammar, c.seed + 1000, c.n_val, 5, c.noise_sigma, c.frames, prefix="val")
-    test_clips = generate_split(grammar, c.seed + 2000, c.n_test, 5, c.noise_sigma, c.frames, prefix="test")
+    grammar, splits = corpus_splits(config)
 
-    train_captions = [clip.captions[0] for clip in train_clips]
+    train_captions = [clip.captions[0] for clip in splits["train"]]
     vocab = build_vocab(train_captions, kind=config.tokenizer, target_size=config.subword_vocab_size)
     if config.tokenizer == "subword":
         sent_vocab = vocab
@@ -103,9 +110,9 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
     return Experiment(
         config=config,
         grammar=grammar,
-        train_clips=train_clips,
-        val_clips=val_clips,
-        test_clips=test_clips,
+        train_clips=splits["train"],
+        val_clips=splits["val"],
+        test_clips=splits["test"],
         vocab=vocab,
         sent_vocab=sent_vocab,
         model=model,
@@ -122,10 +129,14 @@ def build_models(config: ExperimentConfig, vocab: Vocabulary,
     m = config.model
     m.vocab_size = vocab.size
     m.validate()
-    model = CaptionerModel(m, seed=config.seed)
-    encoder = SentenceEncoder(sent_vocab.size, d_sent=m.d_sent, layers=m.sent_layers,
-                              heads=m.sent_heads, seed=m.sent_seed)
-    return model, encoder
+    return CaptionerModel(m, seed=config.seed), build_encoder(m, sent_vocab)
+
+
+def build_encoder(m: ModelConfig, sent_vocab: Vocabulary) -> SentenceEncoder:
+    """The frozen sentence encoder that ``m``'s ``d_sent`` and ``sent_*``
+    fields describe, over ``sent_vocab``."""
+    return SentenceEncoder(sent_vocab.size, d_sent=m.d_sent, layers=m.sent_layers,
+                           heads=m.sent_heads, seed=m.sent_seed)
 
 
 class SentenceEmbedder:

@@ -20,6 +20,9 @@ class LossConfig:
     ser_branch: str = "auto"  # auto = compute iff ser_weight > 0; on | off
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
         if self.ser_weight < 0:

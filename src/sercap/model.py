@@ -460,8 +460,7 @@ class SentenceEncoder:
 
     MAX_POSITIONS = 128
 
-    def __init__(self, vocab_size: int, d_sent: int = 768, layers: int = 2,
-                 heads: int = 4, seed: int = 9001):
+    def __init__(self, vocab_size: int, *, d_sent: int, layers: int, heads: int, seed: int):
         if d_sent % heads != 0:
             raise ValueError("d_sent must be divisible by heads")
         self.vocab_size = vocab_size

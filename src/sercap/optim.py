@@ -21,6 +21,9 @@ class OptimConfig:
     epochs: int = 100
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.lr0 <= 0:
             raise ValueError("lr0 must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):

@@ -18,7 +18,7 @@ from sercap import autodiff as ad
 from sercap.autodiff import Tape, Tensor
 from sercap.config import ExperimentConfig, clone, parse_config, to_manifest
 from sercap.data import EventGrammar, generate_split
-from sercap.decoding import DecodeConfig, beam_search, exhaustive_search, greedy_search
+from sercap.decoding import BeamHypothesis, DecodeConfig, allowed_tokens, beam_search, exhaustive_search
 from sercap.harness import evaluate_split, load_params, param_l2, train
 from sercap.losses import combined_loss, cross_entropy_smoothed, smooth_l1, ser_loss
 from sercap.metrics import EvalItem, cross_reference, fense_compose, spider
@@ -141,7 +141,7 @@ def _composite_loss_fn(seed: int):
     tokens = np.array([[BOS_ID, 4, 5]])
     targets = np.array([[4, 5, EOS_ID]])
     ref_ids = np.array([[BOS_ID, 5, 4, EOS_ID]])
-    target_vec = encoder.embed_tokens(ref_ids).detach()
+    target_vec = Tensor(encoder.embed_tokens(ref_ids).data)
 
     def loss_fn(*params):
         memory = model.encode_project(feats)
@@ -349,6 +349,32 @@ class _PrefixReplayState:
                          for c, prefix in zip(clips, self.prefixes)])
 
 
+def _greedy_walk(memory, model, cfg, vocab) -> BeamHypothesis:
+    """Beam size 1 as one live prefix over the full-prefix ``step_logits``
+    and ``allowed_tokens``.  Each step offers the legal eos continuation to
+    a finished pool ordered by (-log_prob, tokens), then extends the prefix
+    by its best legal non-eos token, the lowest id on a tie.  The walk
+    stops once the best finished entry strictly beats the live score, or
+    at ``max_len``."""
+    prefix, score, finished = [BOS_ID], 0.0, []
+    while True:
+        logits = model.step_logits(memory, np.array(prefix, dtype=np.int64))
+        z = logits - logits.max()
+        cand = score + z - np.log(np.exp(z).sum())
+        legal = allowed_tokens(prefix, cfg, vocab)
+        if legal[EOS_ID]:
+            finished.append((-cand[EOS_ID], prefix + [EOS_ID]))
+            legal[EOS_ID] = False
+        if not legal.any():
+            break
+        tok = int(np.flatnonzero(legal)[np.argmax(cand[legal])])
+        if min(finished, default=(np.inf,))[0] < -cand[tok]:
+            break
+        prefix, score = prefix + [tok], cand[tok]
+    neg_log_prob, tokens = min(finished)
+    return BeamHypothesis(tokens, -neg_log_prob, True)
+
+
 def test_acceptance_beam_search_oracle():
     with criterion("beam-search-oracle"):
         vocab = Vocabulary(
@@ -367,8 +393,10 @@ def test_acceptance_beam_search_oracle():
             assert beam.log_prob == pytest.approx(exact.log_prob, abs=1e-12)
 
             cfg_one = DecodeConfig(beam_size=1, min_len=1, max_len=max_len, stopwords=stop)
-            assert beam_search(None, model, cfg_one, vocab).tokens == \
-                greedy_search(None, model, cfg_one, vocab).tokens
+            one = beam_search(None, model, cfg_one, vocab)
+            walk = _greedy_walk(None, model, cfg_one, vocab)
+            assert one.tokens == walk.tokens, seed
+            assert one.log_prob == pytest.approx(walk.log_prob, abs=1e-12)
 
             for beam_size in (1, 2, cfg_full.beam_size):
                 cfg = DecodeConfig(beam_size=beam_size, min_len=2, max_len=max_len, stopwords=stop)

@@ -6,13 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sercap.cli import build_parser, main
-from sercap.config import ExperimentConfig
+from sercap.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 from sercap.config import parse_config
-from sercap.data import load_features
-from sercap.harness import CurveRow, decode_split, train, write_curve
+from sercap.data import load_features, save_captions, save_features
+from sercap.harness import CurveRow, build_experiment, decode_split, train, write_curve
 from sercap.text import detokenize
 
 
@@ -40,7 +39,8 @@ class TestSynthData:
     def test_writes_three_splits(self, tmp_path):
         rc = main([
             "synth-data", "--out", str(tmp_path / "data"),
-            "--n-train", "6", "--n-val", "3", "--n-test", "3", "--d-enc", "8",
+            "--set", "corpus.n_train=6", "--set", "corpus.n_val=3",
+            "--set", "corpus.n_test=3", "--set", "model.d_enc=8",
         ])
         assert rc == 0
         for split in ("train", "val", "test"):
@@ -54,19 +54,19 @@ class TestSynthData:
         assert stats["train"]["n_clips"] == 6
 
 
-class TestParserDefaults:
-    def test_defaults_equal_config_defaults(self):
-        cfg = ExperimentConfig()
-        c = cfg.corpus
-        parser = build_parser()
-        synth = parser.parse_args(["synth-data", "--out", "x"])
-        assert (synth.seed, synth.grammar_seed, synth.n_train, synth.n_val, synth.n_test,
-                synth.noise_sigma, synth.frames, synth.d_enc) == \
-            (c.seed, c.grammar_seed, c.n_train, c.n_val, c.n_test, c.noise_sigma, c.frames,
-             cfg.model.d_enc)
-        ev = parser.parse_args(["evaluate", "--candidates", "c", "--references", "r", "--out", "o"])
-        assert (ev.vocab_size, ev.d_sent, ev.encoder_seed) == \
-            (cfg.subword_vocab_size, cfg.model.d_sent, cfg.model.sent_seed)
+    def test_config_file_gives_the_training_splits(self, tmp_path):
+        # synth-data writes the corpus that training on the same config builds
+        config = CONFIGS / "overfit.cfg"
+        assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        exp = build_experiment(parse_config(config))
+        splits = {"train": exp.train_clips, "val": exp.val_clips, "test": exp.test_clips}
+        for name, clips in splits.items():
+            save_features(clips, tmp_path / "want.bin")
+            save_captions(clips, tmp_path / "want.jsonl")
+            assert (tmp_path / "data" / f"{name}_features.bin").read_bytes() == \
+                (tmp_path / "want.bin").read_bytes(), name
+            assert (tmp_path / "data" / f"{name}_captions.jsonl").read_bytes() == \
+                (tmp_path / "want.jsonl").read_bytes(), name
 
 
 class TestTrainDecode:
@@ -81,7 +81,8 @@ class TestTrainDecode:
 
         rc = main([
             "synth-data", "--out", str(tmp_path / "data"),
-            "--n-train", "2", "--n-val", "2", "--n-test", "2", "--d-enc", "8",
+            "--set", "corpus.n_train=2", "--set", "corpus.n_val=2",
+            "--set", "corpus.n_test=2", "--set", "model.d_enc=8",
         ])
         assert rc == 0
         out = tmp_path / "decoded.txt"
@@ -104,7 +105,8 @@ class TestTrainDecode:
         result = train(parse_config(write_tiny_config(tmp_path / "run.cfg")), tmp_path / "run")
         main([
             "synth-data", "--out", str(tmp_path / "data"),
-            "--n-train", "2", "--n-val", "2", "--n-test", "3", "--d-enc", "8",
+            "--set", "corpus.n_train=2", "--set", "corpus.n_val=2",
+            "--set", "corpus.n_test=3", "--set", "model.d_enc=8",
         ])
         out = tmp_path / "decoded.txt"
         rc = main([
@@ -124,7 +126,8 @@ class TestTrainDecode:
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         main([
             "synth-data", "--out", str(tmp_path / "data"),
-            "--n-train", "2", "--n-val", "2", "--n-test", "2", "--d-enc", "8",
+            "--set", "corpus.n_train=2", "--set", "corpus.n_val=2",
+            "--set", "corpus.n_test=2", "--set", "model.d_enc=8",
         ])
         out = tmp_path / "short.txt"
         rc = main([
@@ -166,7 +169,7 @@ class TestEvaluate:
         rc = main([
             "evaluate", "--candidates", str(tmp_path / "cands.txt"),
             "--references", str(tmp_path / "refs.jsonl"), "--out", str(out),
-            "--d-sent", "32",
+            "--set", "model.d_sent=32",
         ])
         assert rc == 0
         report = json.loads(out.read_text())
@@ -183,7 +186,7 @@ class TestEvaluate:
         rc = main([
             "evaluate", "--candidates", str(tmp_path / "cands.txt"),
             "--references", str(tmp_path / "refs.jsonl"), "--out", str(out),
-            "--spice-scores", str(tmp_path / "spice.json"), "--d-sent", "32",
+            "--spice-scores", str(tmp_path / "spice.json"), "--set", "model.d_sent=32",
         ])
         assert rc == 0
         report = json.loads(out.read_text())
@@ -199,7 +202,7 @@ class TestEvaluate:
             rc = main([
                 "evaluate", "--candidates", str(tmp_path / "cands.txt"),
                 "--references", str(tmp_path / "refs.jsonl"), "--out", str(out),
-                "--d-sent", "32",
+                "--set", "model.d_sent=32",
             ])
             assert rc == 0
             per_item.append(json.loads(out.read_text())["per_item"])
@@ -301,7 +304,8 @@ class TestSetOverrides:
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         main([
             "synth-data", "--out", str(tmp_path / "data"),
-            "--n-train", "2", "--n-val", "2", "--n-test", "2", "--d-enc", "8",
+            "--set", "corpus.n_train=2", "--set", "corpus.n_val=2",
+            "--set", "corpus.n_test=2", "--set", "model.d_enc=8",
         ])
         capsys.readouterr()
         out = tmp_path / "decoded.txt"

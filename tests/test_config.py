@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sercap.config import (
+    _KEYMAP,
     ConfigError,
     ExperimentConfig,
     clone,
@@ -23,6 +24,23 @@ def test_defaults_match_training_recipe():
     assert cfg.decode.beam_size == 2 and cfg.decode.min_len == 3 and cfg.decode.max_len == 30
     assert cfg.corpus.n_train == 512 and cfg.corpus.n_val == 64 and cfg.corpus.n_test == 64
     assert cfg.n_seeds == 5
+
+
+def test_file_keys_are_pinned():
+    # the keys a checkpoint header records; renaming a field must not change them
+    assert set(_KEYMAP) == {
+        "model.d_model", "model.layers", "model.heads", "model.d_ff", "model.dropout",
+        "model.d_enc", "model.d_sent", "model.max_len", "model.sent_layers", "model.sent_heads",
+        "model.sent_seed",
+        "loss.label_smoothing", "loss.lambda", "loss.beta", "loss.ser_kind", "loss.ser_branch",
+        "optim.lr0", "optim.beta1", "optim.beta2", "optim.eps", "optim.wd", "optim.clip_norm",
+        "optim.epochs",
+        "decode.beam", "decode.min_len", "decode.max_len",
+        "corpus.grammar_seed", "corpus.seed", "corpus.n_train", "corpus.n_val", "corpus.n_test",
+        "corpus.noise_sigma", "corpus.frames",
+        "experiment.tokenizer", "experiment.subword_vocab_size", "experiment.n_seeds",
+        "experiment.batch_size", "experiment.seed", "experiment.sbert_agg",
+    }
 
 
 def test_parse_short_key_names(tmp_path):

@@ -9,7 +9,6 @@ from sercap.decoding import (
     beam_search,
     decode_corpus,
     exhaustive_search,
-    greedy_search,
 )
 from sercap.text import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
@@ -128,6 +127,32 @@ def reference_search(memories, model, cfg, vocab) -> list[BeamHypothesis]:
     return [min(f, key=lambda h: (-h.log_prob, h.tokens)) for f in finished]
 
 
+def greedy_walk(memory, model, cfg, vocab) -> BeamHypothesis:
+    """Beam size 1 as one live prefix over the full-prefix ``step_logits``
+    and ``allowed_tokens``.  Each step offers the legal eos continuation to
+    a finished pool ordered by (-log_prob, tokens), then extends the prefix
+    by its best legal non-eos token, the lowest id on a tie.  The walk
+    stops once the best finished entry strictly beats the live score, or
+    at ``max_len``."""
+    prefix, score, finished = [BOS_ID], 0.0, []
+    while True:
+        logits = model.step_logits(memory, np.array(prefix, dtype=np.int64))
+        z = logits - logits.max()
+        cand = score + z - np.log(np.exp(z).sum())
+        legal = allowed_tokens(prefix, cfg, vocab)
+        if legal[EOS_ID]:
+            finished.append((-cand[EOS_ID], prefix + [EOS_ID]))
+            legal[EOS_ID] = False
+        if not legal.any():
+            break
+        tok = int(np.flatnonzero(legal)[np.argmax(cand[legal])])
+        if min(finished, default=(np.inf,))[0] < -cand[tok]:
+            break
+        prefix, score = prefix + [tok], cand[tok]
+    neg_log_prob, tokens = min(finished)
+    return BeamHypothesis(tokens, -neg_log_prob, True)
+
+
 def assert_same_hypotheses(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -185,7 +210,7 @@ class TestBeamSearch:
         for seed in range(20):
             m = RandomToyModel(v.size, seed)
             b = beam_search(None, m, cfg1, v)
-            g = greedy_search(None, m, cfg1, v)
+            g = greedy_walk(None, m, cfg1, v)
             assert b.tokens == g.tokens
             assert b.log_prob == pytest.approx(g.log_prob, abs=1e-12)
 

@@ -615,6 +615,21 @@ class TestCheckpoint:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_header_config_is_validated(self, tmp_path):
+        # a header's config goes through the same checks as a config file's lines
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        bad = edit_header(src, tmp_path / "bad.ckpt",
+                          lambda header: header["config"].update({"loss.label_smoothing": 1.5}))
+        with pytest.raises(ConfigError, match="label_smoothing"):
+            restore_model(bad)
+
+    def test_header_config_values_are_coerced(self, tmp_path):
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        old = edit_header(src, tmp_path / "old.ckpt",
+                          lambda header: header["config"].update({"optim.wd": 2}))
+        config = restore_model(old)[4]
+        assert type(config.optim.weight_decay) is float and config.optim.weight_decay == 2.0
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"JUNK" + b"\x00" * 64)
