@@ -91,12 +91,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -323,11 +317,6 @@ def div(a, b) -> Tensor:
         )
 
     return _make(a.data / xb, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def absolute(a) -> Tensor:

@@ -5,8 +5,9 @@ text file (comments start with ``#``).  The dataclass fields below are the
 only list of what can be configured: a field's file key is
 ``section.field`` (``experiment.field`` at the top level), four fields
 have shorter spellings (``model.layers``, ``loss.lambda``, ``optim.wd``,
-``decode.beam``), and two are not keys at all (``model.vocab_size``
-comes from the data, ``decode.stopwords`` is the shipped list).
+``decode.beam``), and one is not a key at all (``decode.stopwords`` is
+the shipped list).  The captioner's vocabulary size is not part of the
+config: it comes from the vocabulary the run builds.
 ``apply_settings`` is the one place a ``key=value`` is applied: a file's
 lines, ``--set`` overrides and a checkpoint header's config all go
 through it.  ``to_manifest`` spells out every effective value so two
@@ -61,10 +62,7 @@ class ExperimentConfig:
     sbert_agg: str = "mean"
 
     def validate(self) -> None:
-        # re-run the sections' own checks, which fields set after
-        # construction have bypassed; model.vocab_size is data-dependent,
-        # so the model section is validated once the vocabulary is built
-        for section in (self.loss, self.optim, self.decode, self.corpus):
+        for section in (self.model, self.loss, self.optim, self.decode, self.corpus):
             section.validate()
         if self.tokenizer not in ("word", "subword"):
             raise ValueError(f"tokenizer must be word or subword, got {self.tokenizer!r}")
@@ -77,7 +75,7 @@ class ExperimentConfig:
 # fields whose file key is spelled differently, and fields that are not keys
 _SPELLING = {"decoder_layers": "layers", "ser_weight": "lambda", "weight_decay": "wd",
              "beam_size": "beam"}
-_NOT_KEYS = {"model.vocab_size", "decode.stopwords"}
+_NOT_KEYS = {"decode.stopwords"}
 
 
 def _derive_keymap() -> dict[str, tuple[str, str, type]]:
@@ -148,7 +146,6 @@ def to_manifest(cfg: ExperimentConfig) -> dict:
     for key, (section, attr, _) in _KEYMAP.items():
         target = cfg if section == "" else getattr(cfg, section)
         out[key] = getattr(target, attr)
-    out["model.vocab_size"] = cfg.model.vocab_size
     return out
 
 
@@ -156,15 +153,12 @@ def from_manifest(manifest: dict) -> ExperimentConfig:
     """The config a checkpoint header records, coerced and validated as a
     config file's lines are.  A key this version cannot apply raises
     ``ConfigError`` naming it."""
-    cfg = ExperimentConfig()
-    entries = []
-    for key, value in manifest.items():
-        if key == "model.vocab_size":
-            cfg.model.vocab_size = int(value)
-        elif not (key == "decode.stopwords_file" and value == ""):
-            # that removed key, when empty, meant the shipped list, the only one now
-            entries.append(("checkpoint", f"{key}={value}"))
-    return apply_settings(cfg, entries)
+    # two retired entries of older headers are skipped: the vocabulary
+    # size, which the header's vocabulary gives, and an empty stopwords
+    # file, which meant the shipped list, the only one now
+    entries = [("checkpoint", f"{key}={value}") for key, value in manifest.items()
+               if key != "model.vocab_size" and not (key == "decode.stopwords_file" and value == "")]
+    return apply_settings(ExperimentConfig(), entries)
 
 
 def save_manifest(cfg: ExperimentConfig, path: str | Path, extra: dict | None = None) -> None:

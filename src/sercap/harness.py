@@ -124,12 +124,9 @@ def build_experiment(config: ExperimentConfig) -> Experiment:
 
 def build_models(config: ExperimentConfig, vocab: Vocabulary,
                  sent_vocab: Vocabulary) -> tuple[CaptionerModel, SentenceEncoder]:
-    """The captioner and its frozen sentence encoder for ``config``; sets
-    ``config.model.vocab_size`` from ``vocab``."""
-    m = config.model
-    m.vocab_size = vocab.size
-    m.validate()
-    return CaptionerModel(m, seed=config.seed), build_encoder(m, sent_vocab)
+    """The captioner over ``vocab`` and its frozen sentence encoder over
+    ``sent_vocab``, as ``config`` describes them; ``config`` is not changed."""
+    return CaptionerModel(config.model, vocab.size, seed=config.seed), build_encoder(config.model, sent_vocab)
 
 
 def build_encoder(m: ModelConfig, sent_vocab: Vocabulary) -> SentenceEncoder:
@@ -215,27 +212,6 @@ def param_l2(model: CaptionerModel, exempt: bool = False) -> float:
 # ---------------------------------------------------------------------------
 # checkpoint container
 # ---------------------------------------------------------------------------
-
-
-def _rng_state(gen: np.random.Generator) -> dict:
-    state = gen.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    gen = np.random.default_rng()
-    gen.bit_generator.state = {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-    return gen
 
 
 def save_checkpoint(
@@ -540,8 +516,8 @@ def train(
                            | {"optim/" + k: a for k, a in optimizer.state_arrays()})
         header = ckpt.header
         optimizer.step_count = header["step_count"]
-        shuffle_rng = _restore_rng(header["rng"]["shuffle"])
-        dropout_rng = _restore_rng(header["rng"]["dropout"])
+        shuffle_rng.bit_generator.state = header["rng"]["shuffle"]
+        dropout_rng.bit_generator.state = header["rng"]["dropout"]
         start_epoch = header["epoch"]
         best_fense = header["best_fense"]
         best_epoch = header["best_epoch"]
@@ -576,7 +552,7 @@ def train(
             epoch=epoch,
             best_fense=float(best_fense),
             best_epoch=best_epoch,
-            rng_states={"shuffle": _rng_state(shuffle_rng), "dropout": _rng_state(dropout_rng)},
+            rng_states={"shuffle": shuffle_rng.bit_generator.state, "dropout": dropout_rng.bit_generator.state},
             fense_history=fense_history,
         )
 
@@ -626,7 +602,8 @@ def train(
         json.dumps({"val_fense": fense_history, "best_epoch": best_epoch}, indent=2) + "\n"
     )
     save_manifest(cfg, out_dir / "manifest.json",
-                  extra={"encoder_hash": exp.encoder.param_hash(), **blas.runtime_info()})
+                  extra={"model.vocab_size": exp.vocab.size, "encoder_hash": exp.encoder.param_hash(),
+                         **blas.runtime_info()})
 
     return TrainResult(
         experiment=exp,

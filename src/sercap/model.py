@@ -44,7 +44,6 @@ NEG_INF = -np.inf
 
 @dataclass
 class ModelConfig:
-    vocab_size: int = 0  # filled in once the vocabulary is built
     d_model: int = 256
     decoder_layers: int = 6
     heads: int = 4
@@ -62,8 +61,8 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by heads")
         if self.d_sent % self.sent_heads != 0:
             raise ValueError("d_sent must be divisible by sent_heads")
-        for name in ("vocab_size", "d_model", "decoder_layers", "heads", "d_ff",
-                     "d_enc", "d_sent", "max_len", "sent_layers", "sent_heads"):
+        for name in ("d_model", "decoder_layers", "heads", "d_ff", "d_enc", "d_sent",
+                     "max_len", "sent_layers", "sent_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -195,8 +194,10 @@ class DecoderOutput:
 class CaptionerModel:
     """Feature projection + transformer decoder + two output heads."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, vocab_size: int, seed: int = 0):
         config.validate()
+        if vocab_size < 1:
+            raise ValueError("vocab_size must be >= 1")
         self.config = config
         self.training = True
         self.params = ParamSet()
@@ -205,7 +206,7 @@ class CaptionerModel:
 
         self.params.add("enc_proj.W", _glorot(rng, c.d_enc, c.d_model))
         self.params.add("enc_proj.b", np.zeros(c.d_model))
-        self.params.add("embed.table", rng.normal(0, 1.0 / np.sqrt(c.d_model), (c.vocab_size, c.d_model)))
+        self.params.add("embed.table", rng.normal(0, 1.0 / np.sqrt(c.d_model), (vocab_size, c.d_model)))
         for i in range(c.decoder_layers):
             for blk in ("self", "cross"):
                 for proj in ("Wq", "Wk", "Wv", "Wo"):
@@ -219,8 +220,8 @@ class CaptionerModel:
             self.params.add(f"dec{i}.ff.b1", np.zeros(c.d_ff))
             self.params.add(f"dec{i}.ff.W2", _glorot(rng, c.d_ff, c.d_model))
             self.params.add(f"dec{i}.ff.b2", np.zeros(c.d_model))
-        self.params.add("classifier.W", _glorot(rng, c.d_model, c.vocab_size))
-        self.params.add("classifier.b", np.zeros(c.vocab_size))
+        self.params.add("classifier.W", _glorot(rng, c.d_model, vocab_size))
+        self.params.add("classifier.b", np.zeros(vocab_size))
         self.params.add("ser.W", _glorot(rng, c.d_model, c.d_sent))
         self.params.add("ser.b", np.zeros(c.d_sent))
 

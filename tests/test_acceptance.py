@@ -129,11 +129,11 @@ def study(tmp_path_factory):
 
 def _composite_loss_fn(seed: int):
     cfg = ModelConfig(
-        vocab_size=6, d_model=8, decoder_layers=1, heads=2, d_ff=12,
+        d_model=8, decoder_layers=1, heads=2, d_ff=12,
         dropout=0.0, d_enc=4, d_sent=8, max_len=6, sent_layers=1,
         sent_heads=2, sent_seed=seed + 100,
     )
-    model = CaptionerModel(cfg, seed=seed)
+    model = CaptionerModel(cfg, 6, seed=seed)
     model.eval_mode()
     encoder = SentenceEncoder(6, d_sent=8, layers=1, heads=2, seed=seed + 200)
     rng = np.random.default_rng(seed + 300)

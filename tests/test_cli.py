@@ -53,6 +53,11 @@ class TestSynthData:
         stats = json.loads((tmp_path / "data" / "stats.json").read_text())
         assert stats["train"]["n_clips"] == 6
 
+    def test_invalid_model_setting_is_a_config_error(self, tmp_path, capsys):
+        rc = main(["synth-data", "--out", str(tmp_path / "data"), "--set", "model.d_enc=0"])
+        assert rc == 2
+        assert "invalid config: d_enc must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     def test_config_file_gives_the_training_splits(self, tmp_path):
         # synth-data writes the corpus that training on the same config builds
@@ -209,6 +214,18 @@ class TestEvaluate:
         for key in ("sbert", "fense"):
             assert per_item[0][key][0] == per_item[1][key][0], key
         assert per_item[0]["sbert"][1] != per_item[1]["sbert"][1]
+
+    def test_invalid_model_setting_is_a_config_error(self, tmp_path, capsys):
+        self._write_inputs(tmp_path)
+        out = tmp_path / "report.json"
+        rc = main([
+            "evaluate", "--candidates", str(tmp_path / "cands.txt"),
+            "--references", str(tmp_path / "refs.jsonl"), "--out", str(out),
+            "--set", "model.d_sent=30",
+        ])
+        assert rc == 2
+        assert "invalid config: d_sent must be divisible by sent_heads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misaligned_inputs_fail(self, tmp_path):
         (tmp_path / "cands.txt").write_text("a dog barks\n")

@@ -84,11 +84,17 @@ def test_invalid_value_rejected_by_dataclass(tmp_path):
 
 def test_manifest_roundtrip():
     cfg = ExperimentConfig()
-    cfg.model.vocab_size = 99
     cfg.optim.weight_decay = 2.0
     back = from_manifest(to_manifest(cfg))
     assert to_manifest(back) == to_manifest(cfg)
-    assert back.model.vocab_size == 99
+
+
+def test_retired_vocab_size_entry_is_skipped():
+    # headers written while the config held the vocabulary size record it;
+    # the header's vocabulary gives it now
+    assert "model.vocab_size" not in to_manifest(ExperimentConfig())
+    back = from_manifest(to_manifest(ExperimentConfig()) | {"model.vocab_size": 7})
+    assert to_manifest(back) == to_manifest(ExperimentConfig())
 
 
 def test_manifest_records_every_default(tmp_path):

@@ -319,10 +319,10 @@ class TestDecodeCorpus:
     def test_matches_per_clip_beam_search(self):
         from sercap.model import CaptionerModel, ModelConfig
 
-        cfg_m = ModelConfig(vocab_size=11, d_model=8, decoder_layers=1, heads=2,
+        cfg_m = ModelConfig(d_model=8, decoder_layers=1, heads=2,
                             d_ff=16, dropout=0.0, d_enc=4, d_sent=8, max_len=6,
                             sent_heads=2)
-        model = CaptionerModel(cfg_m, seed=2)
+        model = CaptionerModel(cfg_m, 11, seed=2)
         model.eval_mode()
         v = toy_vocab(content=("dog", "cat", "man", "rain", "wind"))
         assert v.size == 11
@@ -339,10 +339,10 @@ class TestDecodeCorpus:
         from sercap.model import CaptionerModel, ModelConfig
 
         v = toy_vocab(content=("dog", "cat", "man", "rain", "wind", "bird", "car", "bell"))
-        cfg_m = ModelConfig(vocab_size=v.size, d_model=8, decoder_layers=2, heads=2,
+        cfg_m = ModelConfig(d_model=8, decoder_layers=2, heads=2,
                             d_ff=16, dropout=0.0, d_enc=4, d_sent=8, max_len=8,
                             sent_heads=2)
-        model = CaptionerModel(cfg_m, seed=5)
+        model = CaptionerModel(cfg_m, v.size, seed=5)
         model.eval_mode()
         rng = np.random.default_rng(6)
         memories = [model.encode_project(rng.normal(0, 1, (3, 4))).data for _ in range(5)]
@@ -383,10 +383,10 @@ class TestDecodeCorpus:
     def test_side_effect_free_on_params(self):
         from sercap.model import CaptionerModel, ModelConfig
 
-        cfg_m = ModelConfig(vocab_size=11, d_model=8, decoder_layers=1, heads=2,
+        cfg_m = ModelConfig(d_model=8, decoder_layers=1, heads=2,
                             d_ff=16, dropout=0.0, d_enc=4, d_sent=8, max_len=6,
                             sent_heads=2)
-        model = CaptionerModel(cfg_m, seed=4)
+        model = CaptionerModel(cfg_m, 11, seed=4)
         model.eval_mode()
         before = model.params.sha256()
         v = toy_vocab(content=("dog", "cat", "man", "rain", "wind"))
@@ -488,10 +488,10 @@ class TestMatchesReferenceSearch:
         from sercap.model import CaptionerModel, ModelConfig
 
         v = toy_vocab(content=("dog", "cat", "man", "rain", "wind", "bird", "car", "bell"))
-        cfg_m = ModelConfig(vocab_size=v.size, d_model=8, decoder_layers=2, heads=2,
+        cfg_m = ModelConfig(d_model=8, decoder_layers=2, heads=2,
                             d_ff=16, dropout=0.0, d_enc=4, d_sent=8, max_len=8,
                             sent_heads=2)
-        model = CaptionerModel(cfg_m, seed=5)
+        model = CaptionerModel(cfg_m, v.size, seed=5)
         model.eval_mode()
         rng = np.random.default_rng(6)
         memories = [model.encode_project(rng.normal(0, 1, (3, 4))).data for _ in range(5)]

@@ -70,9 +70,13 @@ class TestBuildExperiment:
         assert all(len(c.captions) == 5 for c in exp.val_clips)
         assert all(len(c.captions) == 5 for c in exp.test_clips)
 
-    def test_vocab_filled_into_model_config(self):
-        exp = build_experiment(tiny_config())
-        assert exp.config.model.vocab_size == exp.vocab.size
+    def test_model_config_unchanged_and_classifier_spans_vocab(self):
+        cfg = tiny_config()
+        want = clone(cfg).model
+        exp = build_experiment(cfg)
+        assert cfg.model == want
+        assert exp.model.params["classifier.W"].shape == (cfg.model.d_model, exp.vocab.size)
+        assert exp.model.params["classifier.b"].shape == (exp.vocab.size,)
         assert exp.vocab.kind == "word"
         assert exp.sent_vocab.kind == "subword"
 
@@ -595,6 +599,18 @@ class TestCheckpoint:
         src = untrained_checkpoint(tmp_path / "m.ckpt")
         old = edit_header(src, tmp_path / "old.ckpt",
                           lambda header: header["config"].update({"decode.stopwords_file": ""}))
+        want_model, _, _, _, want = restore_model(src)
+        restored, _, _, _, config = restore_model(old)
+        assert to_manifest(config) == to_manifest(want)
+        assert params_bytes(restored) == params_bytes(want_model)
+
+    def test_header_with_vocab_size_restores(self, tmp_path):
+        # every checkpoint written while the config held the vocabulary
+        # size records it beside the vocabulary itself
+        src = untrained_checkpoint(tmp_path / "m.ckpt")
+        assert "model.vocab_size" not in load_checkpoint(src)["config"]
+        old = edit_header(src, tmp_path / "old.ckpt", lambda header: header["config"].update(
+            {"model.vocab_size": len(header["vocab"]["tokens"])}))
         want_model, _, _, _, want = restore_model(src)
         restored, _, _, _, config = restore_model(old)
         assert to_manifest(config) == to_manifest(want)

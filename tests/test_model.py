@@ -17,7 +17,7 @@ from sercap.text import BOS_ID, EOS_ID, PAD_ID
 
 def tiny_config(**kw):
     base = dict(
-        vocab_size=7, d_model=8, decoder_layers=2, heads=2, d_ff=16,
+        d_model=8, decoder_layers=2, heads=2, d_ff=16,
         dropout=0.0, d_enc=5, d_sent=12, max_len=10,
         sent_layers=1, sent_heads=2, sent_seed=5,
     )
@@ -27,7 +27,7 @@ def tiny_config(**kw):
 
 @pytest.fixture
 def model():
-    m = CaptionerModel(tiny_config(), seed=3)
+    m = CaptionerModel(tiny_config(), 7, seed=3)
     m.eval_mode()
     return m
 
@@ -44,7 +44,7 @@ class TestEncodeProject:
             np.testing.assert_array_equal(row, np.arange(8.0))
 
     def test_identity_initialized_projection(self):
-        m = CaptionerModel(tiny_config(d_enc=8), seed=0)
+        m = CaptionerModel(tiny_config(d_enc=8), 7, seed=0)
         m.params["enc_proj.W"].data = np.eye(8)
         m.params["enc_proj.b"].data = np.zeros(8)
         x = np.random.default_rng(0).normal(0, 1, (1, 8))
@@ -92,7 +92,7 @@ class TestDecodeTeacherForced:
             model.decode_teacher_forced(mem, tokens)
 
     def test_training_needs_rng(self):
-        m = CaptionerModel(tiny_config(dropout=0.2), seed=0)
+        m = CaptionerModel(tiny_config(dropout=0.2), 7, seed=0)
         mem = m.encode_project(np.zeros((2, 5)))
         with pytest.raises(ValueError):
             m.decode_teacher_forced(mem, np.array([BOS_ID, 4]))
@@ -116,8 +116,8 @@ class TestDecodeTeacherForced:
             np.testing.assert_allclose(out[i], single, atol=1e-12)
 
     def test_end_to_end_grad_check(self):
-        cfg = tiny_config(decoder_layers=2, d_model=4, heads=2, d_ff=8, vocab_size=5, d_enc=3)
-        m = CaptionerModel(cfg, seed=11)
+        cfg = tiny_config(decoder_layers=2, d_model=4, heads=2, d_ff=8, d_enc=3)
+        m = CaptionerModel(cfg, 5, seed=11)
         m.eval_mode()
         rng = np.random.default_rng(12)
         feats = rng.normal(0, 1, (2, 3))
@@ -214,7 +214,7 @@ class TestPackedLayout:
         # position-wise sites draw for the N real rows only; attention
         # draws for its padded (B, h, L, .) weights
         cfg = tiny_config(dropout=0.2)
-        m = CaptionerModel(cfg, seed=4)
+        m = CaptionerModel(cfg, 7, seed=4)
         feats, ids, mask = self.padded(35)
         rng = np.random.default_rng(36)
         m.decode_teacher_forced(m.encode_project(feats), ids, rng=rng)
@@ -250,7 +250,7 @@ class TestStepLogits:
         np.testing.assert_array_equal(model.step_logits(mem, prefix), full[-1])
 
     def test_dropout_disabled_even_in_train_mode(self):
-        m = CaptionerModel(tiny_config(dropout=0.5), seed=1)
+        m = CaptionerModel(tiny_config(dropout=0.5), 7, seed=1)
         m.train_mode()
         mem = m.encode_project(np.zeros((2, 5)))
         prefix = np.array([BOS_ID, 4])
@@ -269,9 +269,8 @@ class TestStepLogits:
 
     def test_hand_computed_logits(self):
         """Independent plain-numpy forward of a 1-layer model."""
-        cfg = tiny_config(decoder_layers=1, d_model=4, heads=2, d_ff=8,
-                          vocab_size=5, d_enc=3)
-        m = CaptionerModel(cfg, seed=21)
+        cfg = tiny_config(decoder_layers=1, d_model=4, heads=2, d_ff=8, d_enc=3)
+        m = CaptionerModel(cfg, 5, seed=21)
         m.eval_mode()
         p = {k: v.data for k, v in m.named_params()}
         rng = np.random.default_rng(22)
@@ -381,7 +380,7 @@ class TestDecoderState:
         assert not np.shares_memory(state._cross_rows[0][0].data, state._cross_kv[0][0])
 
     def test_dropout_disabled_even_in_train_mode(self):
-        m = CaptionerModel(tiny_config(dropout=0.5), seed=1)
+        m = CaptionerModel(tiny_config(dropout=0.5), 7, seed=1)
         m.train_mode()
         mem = m.encode_project(np.zeros((1, 2, 5))).data
         got = [m.decoder_state(mem).step([BOS_ID], [0], [0]) for _ in range(2)]
@@ -413,7 +412,7 @@ class TestSerProject:
         assert out.shape == (1, 6, 12)
 
     def test_default_dims_match_published_sizes(self):
-        cfg = ModelConfig(vocab_size=10)
+        cfg = ModelConfig()
         assert cfg.d_model == 256 and cfg.d_sent == 768
         assert cfg.decoder_layers == 6 and cfg.heads == 4
         assert cfg.dropout == 0.2 and cfg.max_len == 30
@@ -495,5 +494,5 @@ class TestHelpers:
             tiny_config(d_model=9).validate()  # not divisible by heads=2
         with pytest.raises(ValueError):
             tiny_config(dropout=1.0).validate()
-        with pytest.raises(ValueError):
-            tiny_config(vocab_size=0).validate()
+        with pytest.raises(ValueError, match="vocab_size"):
+            CaptionerModel(tiny_config(), 0)

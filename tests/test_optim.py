@@ -100,9 +100,9 @@ class TestParamGroups:
         assert by_flag[True] == {"layer.b", "ln.beta"}
 
     def test_every_captioner_bias_is_exempt(self):
-        cfg = ModelConfig(vocab_size=7, d_model=8, decoder_layers=2, heads=2, d_ff=16,
+        cfg = ModelConfig(d_model=8, decoder_layers=2, heads=2, d_ff=16,
                           d_enc=5, d_sent=12, max_len=10)
-        named = CaptionerModel(cfg, seed=0).named_params()
+        named = CaptionerModel(cfg, 7, seed=0).named_params()
         by_flag = {g.decay_exempt: set(g.names) for g in make_param_groups(named)}
         assert by_flag[True] == {n for n, t in named if t.ndim == 1 and not n.endswith(".gamma")}
         assert by_flag[False] == {n for n, t in named if t.ndim == 2 or n.endswith(".gamma")}
